@@ -90,11 +90,10 @@ def dominates(
         a_ub, bounds = _convex_cone_program(grid)
         c = np.concatenate([gap, np.zeros(n * grid.ndim)])
     else:
-        rows = local_rows(grid, function_class)
-        a_ub = np.zeros((len(rows), n))
-        for r, row in enumerate(rows):
-            for coeff, idx in zip(row.coeffs, row.idxs):
-                a_ub[r, idx] -= coeff  # cone row >= 0 becomes -row <= 0
+        cone = local_rows(grid, function_class)
+        a_ub = np.zeros((len(cone), n))
+        # cone row >= 0 becomes -row <= 0; padding subtracts zeros
+        np.subtract.at(a_ub, (np.arange(len(cone))[:, None], cone.idx), cone.coeff)
         bounds = [(0.0, 1.0)] * n
         c = gap
 
@@ -128,17 +127,12 @@ def _convex_cone_program(grid: Grid) -> tuple[np.ndarray, list[tuple[float | Non
     """
     n, k = grid.size, grid.ndim
     nodes = grid.nodes
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            row = np.zeros(n + n * k)
-            row[i] = 1.0
-            row[j] = -1.0
-            row[n + i * k : n + (i + 1) * k] = nodes[j] - nodes[i]
-            rows.append(row)
-    a_ub = np.stack(rows)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    r = np.arange(i.size)
+    a_ub = np.zeros((i.size, n + n * k))
+    a_ub[r, i] = 1.0
+    a_ub[r, j] = -1.0
+    a_ub[r[:, None], n + i[:, None] * k + np.arange(k)] = nodes[j] - nodes[i]
     bounds: list[tuple[float | None, float | None]] = [(0.0, 1.0)] * n
     bounds += [(None, None)] * (n * k)
     return a_ub, bounds

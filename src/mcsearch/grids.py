@@ -54,13 +54,13 @@ class Grid:
     def ndim(self) -> int:
         return len(self.axes)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(axis) for axis in self.axes)
 
-    @property
+    @cached_property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @cached_property
     def nodes(self) -> np.ndarray:

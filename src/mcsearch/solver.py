@@ -90,7 +90,12 @@ def solve_fixed_point(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> tu
 
 
 def solve_bisection(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> tuple[float, int]:
-    """Bisection on t - psi(t) over a bracket psi maps into itself."""
+    """Bisection on t - psi(t) over a bracket psi maps into itself.
+
+    Stops when the bracket is narrower than ``tol * (1 - beta)`` or, at
+    large magnitudes where that width is below the float spacing, when the
+    bracket has shrunk to two adjacent floats.
+    """
     beta, gamma, tol = params.beta, params.gamma, params.tol
     vals = u.values_array
     lo = min(gamma, float(vals.min()))
@@ -98,12 +103,14 @@ def solve_bisection(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> tupl
     width_stop = tol * (1.0 - beta)
     it = 0
     while hi - lo > width_stop:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # floating-point resolution reached
         it += 1
         if it > MAX_ITERATIONS:
             raise ConvergenceError(
                 f"bisection did not reach width {width_stop:.3e} in {MAX_ITERATIONS} steps"
             )
-        mid = 0.5 * (lo + hi)
         if mid - continuation_map(mid, pmf, u, params) < 0.0:
             lo = mid
         else:

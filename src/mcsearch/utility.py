@@ -11,12 +11,20 @@ characterize the class:
 * supermodular: every elementary 2x2 cell of adjacent coordinates, for every
   pair of dimensions, has nonnegative cross-difference.
 
+Each class has one cone representation, a ``ConeMatrix`` whose row ``r``
+reads ``sum_c coeff[r, c] * u[idx[r, c]] >= 0``; membership and the
+dominance LP both use it.  Node indices depend only on the grid shape, are
+built by index arithmetic on its C-order strides and kept in a small LRU
+cache of read-only arrays; spacing-dependent coefficients are computed on
+every call.
+
 Joint convexity is tested as extendability to a convex function on R^K:
 a subgradient must exist at every node.  Composite classes are conjunctions.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -50,8 +58,9 @@ class FunctionClass(enum.Enum):
             raise ValueError(f"unknown function class {name!r}; choose one of {choices}") from None
 
 
-#: Base families whose conjunction defines each class.  ``convex`` is the
-#: subgradient test; the rest are local-constraint families.
+#: Base families whose conjunction defines each class, in the order
+#: membership reports violations.  ``convex`` is the subgradient test; the
+#: rest are local-constraint families.
 _FAMILIES: dict[FunctionClass, tuple[str, ...]] = {
     FunctionClass.INCREASING: ("increasing",),
     FunctionClass.CONVEX: ("convex",),
@@ -139,112 +148,110 @@ def tabulate_family(
 
 
 # ---------------------------------------------------------------------------
-# local constraint rows
+# cone matrices
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class ConeRow:
-    """One local linear constraint ``sum(coeffs * u[idxs]) >= 0``."""
-
-    kind: str
-    idxs: tuple[int, ...]
-    coeffs: tuple[float, ...]
-    nodes: tuple[tuple[float, ...], ...]
-
-
-def _increasing_rows(grid: Grid) -> list[ConeRow]:
-    rows = []
-    shape = grid.shape
-    for multi in np.ndindex(*shape):
-        for k in range(grid.ndim):
-            if multi[k] + 1 >= shape[k]:
-                continue
-            hi = list(multi)
-            hi[k] += 1
-            i, j = grid.flat_index(multi), grid.flat_index(hi)
-            rows.append(
-                ConeRow("increasing", (j, i), (1.0, -1.0), (grid.node(i), grid.node(j)))
-            )
-    return rows
-
-
-def _componentwise_convex_rows(grid: Grid) -> list[ConeRow]:
-    rows = []
-    shape = grid.shape
-    for multi in np.ndindex(*shape):
-        for k in range(grid.ndim):
-            if multi[k] + 2 >= shape[k]:
-                continue
-            m1 = list(multi)
-            m1[k] += 1
-            m2 = list(multi)
-            m2[k] += 2
-            i0, i1, i2 = (grid.flat_index(m) for m in (multi, m1, m2))
-            t0, t1, t2 = (grid.axes[k][m[k]] for m in (multi, m1, m2))
-            h1, h2 = t1 - t0, t2 - t1
-            rows.append(
-                ConeRow(
-                    "componentwise_convex",
-                    (i0, i1, i2),
-                    (1.0 / h1, -(1.0 / h1 + 1.0 / h2), 1.0 / h2),
-                    (grid.node(i0), grid.node(i1), grid.node(i2)),
-                )
-            )
-    return rows
-
-
-def _supermodular_rows(grid: Grid) -> list[ConeRow]:
-    rows = []
-    shape = grid.shape
-    for multi in np.ndindex(*shape):
-        for p in range(grid.ndim):
-            if multi[p] + 1 >= shape[p]:
-                continue
-            for q in range(p + 1, grid.ndim):
-                if multi[q] + 1 >= shape[q]:
-                    continue
-                ll = list(multi)
-                lh = list(multi)
-                lh[q] += 1
-                hl = list(multi)
-                hl[p] += 1
-                hh = list(multi)
-                hh[p] += 1
-                hh[q] += 1
-                i_ll, i_lh, i_hl, i_hh = (
-                    grid.flat_index(m) for m in (ll, lh, hl, hh)
-                )
-                rows.append(
-                    ConeRow(
-                        "supermodular",
-                        (i_ll, i_hh, i_lh, i_hl),
-                        (1.0, 1.0, -1.0, -1.0),
-                        tuple(grid.node(i) for i in (i_ll, i_lh, i_hl, i_hh)),
-                    )
-                )
-    return rows
-
-
-_ROW_BUILDERS = {
-    "increasing": _increasing_rows,
-    "componentwise_convex": _componentwise_convex_rows,
-    "supermodular": _supermodular_rows,
+#: Per family: the coefficients shared by all its rows (componentwise-convex
+#: ones depend on the axis spacing) and the columns of its witness nodes.
+#: Rows are stored in summation order, (upper, lower) and (ll, hh, lh, hl);
+#: witnesses list (lower, upper) and (ll, lh, hl, hh).
+_FAMILY_LAYOUT: dict[str, tuple[tuple[float, ...] | None, list[int]]] = {
+    "increasing": ((1.0, -1.0), [1, 0]),
+    "supermodular": ((1.0, 1.0, -1.0, -1.0), [0, 2, 3, 1]),
+    "componentwise_convex": (None, [0, 1, 2]),
 }
 
 
-def local_rows(grid: Grid, function_class: FunctionClass) -> list[ConeRow]:
-    """All local constraint rows defining the class cone on this grid.
+@dataclass(frozen=True, eq=False)
+class ConeMatrix:
+    """The local constraints of a class cone on one grid.
 
-    The convex class has no purely local characterization (it needs
-    subgradient variables) and is rejected here.
+    Row ``r`` reads ``sum_c coeff[r, c] * u[idx[r, c]] >= 0``.  Rows come in
+    the class's family order; ``families`` pairs each family with the end of
+    its rows.  A row narrower than the matrix is padded with zero
+    coefficients on its own last node.
+    """
+
+    idx: np.ndarray
+    coeff: np.ndarray
+    families: tuple[tuple[str, int], ...]
+
+    def __len__(self) -> int:
+        return self.idx.shape[0]
+
+    def margins(self, values: np.ndarray) -> np.ndarray:
+        """Slack of every row, accumulated one column at a time."""
+        out = np.zeros(len(self))
+        for c in range(self.idx.shape[1]):
+            out += self.coeff[:, c] * values[self.idx[:, c]]
+        return out
+
+    def witness(self, grid: Grid, r: int, margin: float) -> Witness:
+        """The violated constraint of row ``r``, nodes in witness order."""
+        family = next(f for f, stop in self.families if r < stop)
+        nodes = self.idx[r, _FAMILY_LAYOUT[family][1]]
+        return Witness(family, tuple(grid.node(i) for i in nodes), margin)
+
+
+@functools.lru_cache(maxsize=64)
+def _family_topology(shape: tuple[int, ...], family: str) -> np.ndarray:
+    """Node indices of one family's rows on every grid of this shape.
+
+    Rows run over the nodes in C order and, at each node, over the axes
+    ``k`` (dimension pairs ``p < q`` for supermodular rows).  The array is
+    read-only because the cache shares it between grids.
+    """
+    ndim = len(shape)
+    extent = np.array(shape)
+    multi = np.indices(shape).reshape(ndim, -1).T
+    node = np.arange(multi.shape[0])[:, None]
+    stride = np.array([math.prod(shape[k + 1 :]) for k in range(ndim)])
+    if family == "supermodular":
+        p, q = np.triu_indices(ndim, k=1)
+        valid = (multi[:, p] + 1 < extent[p]) & (multi[:, q] + 1 < extent[q])
+        s_p, s_q = stride[p], stride[q]
+        cols = (node, node + s_p + s_q, node + s_q, node + s_p)
+    elif family == "increasing":
+        valid = multi + 1 < extent
+        cols = (node + stride, node)
+    else:
+        valid = multi + 2 < extent
+        cols = (node, node + stride, node + 2 * stride)
+    idx = np.stack(np.broadcast_arrays(*cols), axis=-1)[valid]
+    idx.setflags(write=False)
+    return idx
+
+
+def local_rows(grid: Grid, function_class: FunctionClass) -> ConeMatrix:
+    """The class cone on this grid as one ``ConeMatrix``.
+
+    The node indices of each family are cached by grid shape; the
+    componentwise-convex coefficients ``1/h1, -(1/h1 + 1/h2), 1/h2`` are
+    recomputed from the grid's axes on every call.  The convex class has no
+    purely local characterization (it needs subgradient variables) and is
+    rejected here.
     """
     if function_class is FunctionClass.CONVEX:
         raise ValueError("the convex class is not defined by local rows")
-    rows: list[ConeRow] = []
-    for family in _FAMILIES[function_class]:
-        rows.extend(_ROW_BUILDERS[family](grid))
-    return rows
+    families = _FAMILIES[function_class]
+    blocks = [_family_topology(grid.shape, family) for family in families]
+    stops = np.cumsum([len(block) for block in blocks])
+    idx = np.empty((stops[-1], max(block.shape[1] for block in blocks)), dtype=np.intp)
+    coeff = np.zeros(idx.shape)
+    for family, block, stop in zip(families, blocks, stops):
+        rows, w = slice(stop - len(block), stop), block.shape[1]
+        idx[rows, :w] = block
+        idx[rows, w:] = block[:, -1:]
+        shared = _FAMILY_LAYOUT[family][0]
+        if shared is None:
+            # a row's nodes differ only along its axis, so the largest
+            # coordinate difference of two of them is their axis spacing
+            nodes = grid.nodes
+            inv_h1 = 1.0 / (nodes[block[:, 1]] - nodes[block[:, 0]]).max(axis=1)
+            inv_h2 = 1.0 / (nodes[block[:, 2]] - nodes[block[:, 1]]).max(axis=1)
+            shared = np.stack([inv_h1, -(inv_h1 + inv_h2), inv_h2], axis=-1)
+        coeff[rows, :w] = shared
+    return ConeMatrix(idx, coeff, tuple(zip(families, stops.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -306,30 +313,28 @@ def is_member(
 ) -> MembershipResult:
     """Test class membership; on failure report the first violated constraint.
 
-    Base families are checked in a fixed order (increasing, supermodular,
-    componentwise convex, convex) and constraints within a family in
-    lexicographic node order, so the witness is deterministic.
+    Local classes evaluate every row of the class's ``ConeMatrix`` at once;
+    the witness is the first row with slack below ``-tol``, so families are
+    checked in class order (increasing, supermodular, componentwise convex)
+    and rows within a family in C node order.  The convex class solves one
+    subgradient LP per node, in node order.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    order = sorted(
-        _FAMILIES[function_class],
-        key=("increasing", "supermodular", "componentwise_convex", "convex").index,
-    )
-    vals = u.values_array
-    for family in order:
-        if family == "convex":
-            for i in range(u.grid.size):
-                v_star = _subgradient_margin(u, i)
-                if v_star > tol:
-                    witness = Witness("subgradient", (u.grid.node(i),), -v_star)
-                    return MembershipResult(False, function_class, witness, tol)
-            continue
-        for row in _ROW_BUILDERS[family](u.grid):
-            value = float(sum(c * vals[i] for c, i in zip(row.coeffs, row.idxs)))
-            if value < -tol:
-                witness = Witness(row.kind, row.nodes, value)
+    if function_class is FunctionClass.CONVEX:
+        for i in range(u.grid.size):
+            v_star = _subgradient_margin(u, i)
+            if v_star > tol:
+                witness = Witness("subgradient", (u.grid.node(i),), -v_star)
                 return MembershipResult(False, function_class, witness, tol)
+        return MembershipResult(True, function_class, None, tol)
+    cone = local_rows(u.grid, function_class)
+    margins = cone.margins(u.values_array)
+    violated = np.flatnonzero(margins < -tol)
+    if violated.size:
+        r = int(violated[0])
+        witness = cone.witness(u.grid, r, float(margins[r]))
+        return MembershipResult(False, function_class, witness, tol)
     return MembershipResult(True, function_class, None, tol)
 
 

@@ -42,6 +42,13 @@ class TestMakeGrid:
         assert g.node(3) == (1.0, 10.0)
         assert g.node_index((1.0, 10.0)) == 3
 
+    def test_cached_shape_keeps_field_equality(self):
+        g, h = make_grid([[0, 1], [10, 20, 30]]), make_grid([[0, 1], [10, 20, 30]])
+        assert (g.shape, g.size) == ((2, 3), 6)
+        assert type(g.size) is int
+        assert g == h and hash(g) == hash(h)
+        assert g != make_grid([[0, 1], [10, 20, 31]])
+
     @pytest.mark.parametrize(
         "axes",
         [[], [[]], [[2, 1]], [[1, 1]], [[0, float("nan")]], [[0, float("inf")]]],

@@ -165,6 +165,22 @@ class TestSolverAgreement:
         with pytest.raises(ConvergenceError, match="did not converge"):
             solve_fixed_point(pmf, u, p)
 
+    def test_bisection_stops_at_float_resolution(self):
+        """At u_F ~ 774.5 the float spacing exceeds the width tol*(1-beta) =
+        1e-13: bisection stops once the bracket is two adjacent floats, and
+        the solve fails on the equation residual instead."""
+        axis = [float(v) for v in range(1, 31)]
+        grid = make_grid([axis, axis])
+        pmf = make_pmf(grid, np.full(grid.size, 1.0 / grid.size))
+        u = tabulate_family("product", grid)
+        p = SearchParams(0.999, 1.0, 1e-10)
+        t_bi, iterations = solve_bisection(pmf, u, p)
+        assert iterations < 100
+        t_fp, _ = solve_fixed_point(pmf, u, p)
+        assert abs(t_bi - t_fp) <= 10 * p.tol
+        with pytest.raises(ConvergenceError, match="residual"):
+            reservation_utility(pmf, u, p)
+
 
 class TestSimulation:
     def test_accept_everything(self, two_point):
