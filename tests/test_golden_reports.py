@@ -1,9 +1,11 @@
 """Reports of existing scenarios stay byte-identical across code changes.
 
-The files under ``tests/data`` were written by ``mcsearch verify`` and
-``mcsearch closure`` before the class cones became index-array matrices.
-Scenario paths appear in the report header, so each command runs from the
-data directory with a relative path.
+The files under ``tests/data`` were written by the command-line tool with
+the scenario next to them: the suites before the class cones became
+index-array matrices, and the ``solve``, ``dominate``, single-case
+``verify``, ``simulate`` and table/csv reports before the scenario layer
+moved to one option table.  Scenario paths appear in the report header, so
+each command runs from the data directory with a relative path.
 """
 import contextlib
 import io
@@ -15,16 +17,31 @@ from mcsearch.cli import run_command
 
 DATA = Path(__file__).resolve().parent / "data"
 
-CASES = [("verify", f"verify_{t}") for t in ("T2a", "T2c", "T3", "T4")] + [
-    ("closure", "closure_supermodular_truncate")
+FORMAT_OF = {".jsonl": "json-lines", ".csv": "csv", ".txt": "table"}
+
+#: (subcommand, scenario stem, golden report file, expected exit code)
+CASES = [("verify", f"verify_{t}", f"verify_{t}.jsonl", 0) for t in ("T2a", "T2c", "T3", "T4")] + [
+    ("closure", "closure_supermodular_truncate", "closure_supermodular_truncate.jsonl", 0),
+    ("solve", "solve_product", "solve_product.jsonl", 0),
+    ("dominate", "dominate_supermodular", "dominate_supermodular.jsonl", 0),
+    ("dominate", "dominate_increasing_fails", "dominate_increasing_fails.jsonl", 1),
+    ("verify", "verify_single_T3", "verify_single_T3.jsonl", 0),
+    ("simulate", "simulate_reservation", "simulate_reservation.jsonl", 0),
+    ("verify", "verify_T2a", "verify_T2a.txt", 0),
+    ("verify", "verify_T2a", "verify_T2a.csv", 0),
 ]
 
 
-@pytest.mark.parametrize("command,name", CASES, ids=[name for _, name in CASES])
-def test_report_matches_golden(command, name, tmp_path, monkeypatch):
+def _case_id(case):
+    _, stem, golden, _ = case
+    return stem if golden == f"{stem}.jsonl" else golden
+
+
+@pytest.mark.parametrize("command,stem,golden,code", CASES, ids=[_case_id(c) for c in CASES])
+def test_report_matches_golden(command, stem, golden, code, tmp_path, monkeypatch):
     monkeypatch.chdir(DATA)
-    out = tmp_path / f"{name}.jsonl"
+    out = tmp_path / golden
+    fmt = FORMAT_OF[out.suffix]
     with contextlib.redirect_stdout(io.StringIO()):
-        code = run_command([command, f"{name}.json", "--out", str(out), "--format", "json-lines"])
-    assert code == 0
-    assert out.read_bytes() == (DATA / f"{name}.jsonl").read_bytes()
+        assert run_command([command, f"{stem}.json", "--out", str(out), "--format", fmt]) == code
+    assert out.read_bytes() == (DATA / golden).read_bytes()
