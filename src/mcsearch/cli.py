@@ -18,16 +18,22 @@ order.  Only the sections a subcommand needs are required; ``g`` is the
 dominated / comparison distribution.  Flags override file values and the
 effective configuration is echoed in every report header.
 
+JSON booleans are rejected wherever a number is expected (``params``,
+``options.threshold``, masses, axes and utility coefficients).
+
 Exit codes: 0 success, 1 a verification verdict failed (or a solve could
-not be certified), 2 input or validation error.
+not be certified), 2 input or validation error, or an ``--out`` path that
+cannot be written.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import sys
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .dominance import dominates
 from .grids import Grid, Pmf, SearchParams, make_grid, make_pmf
@@ -84,7 +90,7 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# parsing / writing
+# parsing
 # ---------------------------------------------------------------------------
 
 
@@ -93,13 +99,62 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise ScenarioError(f"{path}: {message}")
 
 
+@contextlib.contextmanager
+def _naming(path: str) -> Iterator[None]:
+    """Re-raise a ValueError from building a value as a ScenarioError on ``path``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
+
+
+def _is_number(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _number(v: Any, path: str) -> float:
+    _expect(_is_number(v), path, "must be a number")
+    return float(v)
+
+
+def _nullable_number(v: Any, path: str) -> float | None:
+    _expect(v is None or _is_number(v), path, "must be a number or null")
+    return None if v is None else float(v)
+
+
+def _integer(v: Any, path: str) -> int:
+    _expect(isinstance(v, int) and not isinstance(v, bool), path, "must be an integer")
+    return v
+
+
+def _string(v: Any, path: str) -> str:
+    _expect(isinstance(v, str), path, "must be a string")
+    return v
+
+
 def _number_list(raw: Any, path: str) -> tuple[float, ...]:
     _expect(isinstance(raw, list) and raw, path, "must be a nonempty list of numbers")
-    out = []
-    for i, v in enumerate(raw):
-        _expect(isinstance(v, (int, float)) and not isinstance(v, bool), f"{path}[{i}]", "must be a number")
-        out.append(float(v))
-    return tuple(out)
+    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(raw))
+
+
+def _shape(raw: Any, path: str) -> tuple[int, ...]:
+    shape = _number_list(raw, path)
+    _expect(all(s.is_integer() and s >= 1 for s in shape), path, "must be positive integers")
+    return tuple(int(s) for s in shape)
+
+
+#: ``options`` key -> (``Options`` field, converter)
+_OPTIONS: dict[str, tuple[str, Callable[[Any, str], Any]]] = {
+    "class": ("function_class", _string),
+    "theorem": ("theorem", _string),
+    "seed": ("seed", _integer),
+    "cases": ("cases", _integer),
+    "grid_shape": ("grid_shape", _shape),
+    "episodes": ("episodes", _integer),
+    "threshold": ("threshold", _nullable_number),
+    "samples": ("samples", _integer),
+    "operator": ("operator", _string),
+}
 
 
 def scenario_from_dict(data: Any, path: str = "scenario") -> Scenario:
@@ -113,42 +168,35 @@ def scenario_from_dict(data: Any, path: str = "scenario") -> Scenario:
 
     grid = None
     if "grid" in data:
-        gsec = data["grid"]
-        _expect(isinstance(gsec, dict) and "axes" in gsec, f"{path}.grid", "needs an axes list")
-        axes = gsec["axes"]
+        sec = data["grid"]
+        _expect(isinstance(sec, dict) and "axes" in sec, f"{path}.grid", "needs an axes list")
+        axes = sec["axes"]
         _expect(isinstance(axes, list) and axes, f"{path}.grid.axes", "must be a nonempty list")
-        try:
+        with _naming(f"{path}.grid.axes"):
             grid = make_grid([_number_list(ax, f"{path}.grid.axes[{k}]") for k, ax in enumerate(axes)])
-        except ValueError as exc:
-            raise ScenarioError(f"{path}.grid.axes: {exc}") from None
 
-    pmf_f = pmf_g = None
+    pmfs: dict[str, Pmf] = {}
     if "pmfs" in data:
-        psec = data["pmfs"]
-        _expect(isinstance(psec, dict), f"{path}.pmfs", "must be an object with keys f and/or g")
-        for key in psec:
+        sec = data["pmfs"]
+        _expect(isinstance(sec, dict), f"{path}.pmfs", "must be an object with keys f and/or g")
+        for key in sec:
             _expect(key in ("f", "g"), f"{path}.pmfs.{key}", "unknown pmf name (use f or g)")
         _expect(grid is not None, f"{path}.grid", "required when pmfs are given")
-        built = {}
-        for key in ("f", "g"):
-            if key in psec:
-                weights = _number_list(psec[key], f"{path}.pmfs.{key}")
-                try:
-                    built[key] = make_pmf(grid, weights)
-                except ValueError as exc:
-                    raise ScenarioError(f"{path}.pmfs.{key}: {exc}") from None
-        pmf_f, pmf_g = built.get("f"), built.get("g")
+        for key in sorted(sec):
+            weights = _number_list(sec[key], f"{path}.pmfs.{key}")
+            with _naming(f"{path}.pmfs.{key}"):
+                pmfs[key] = make_pmf(grid, weights)
 
     utility = None
     if "utility" in data:
-        usec = data["utility"]
-        _expect(isinstance(usec, dict) and "family" in usec, f"{path}.utility", "needs a family")
-        family = usec["family"]
+        sec = data["utility"]
+        _expect(isinstance(sec, dict) and "family" in sec, f"{path}.utility", "needs a family")
+        family = sec["family"]
         _expect(family in ("linear", "product", "min", "custom"), f"{path}.utility.family",
                 f"unknown family {family!r}")
-        a = _number_list(usec["a"], f"{path}.utility.a") if "a" in usec else None
-        values = (
-            _number_list(usec["values"], f"{path}.utility.values") if "values" in usec else None
+        a, values = (
+            _number_list(sec[key], f"{path}.utility.{key}") if key in sec else None
+            for key in ("a", "values")
         )
         _expect(family != "linear" or a is not None, f"{path}.utility.a", "required for linear")
         _expect(family != "custom" or values is not None, f"{path}.utility.values",
@@ -159,91 +207,25 @@ def scenario_from_dict(data: Any, path: str = "scenario") -> Scenario:
     if "params" in data:
         sec = data["params"]
         _expect(isinstance(sec, dict), f"{path}.params", "must be an object")
-        for key in ("beta", "gamma"):
-            _expect(key in sec, f"{path}.params.{key}", "required")
-            _expect(isinstance(sec[key], (int, float)), f"{path}.params.{key}", "must be a number")
-        tol = sec.get("tol", 1e-10)
-        _expect(isinstance(tol, (int, float)), f"{path}.params.tol", "must be a number")
-        try:
-            params = SearchParams(float(sec["beta"]), float(sec["gamma"]), float(tol))
-        except ValueError as exc:
-            raise ScenarioError(f"{path}.params: {exc}") from None
+        numbers = []
+        for key in ("beta", "gamma", "tol"):
+            _expect(key in sec or key == "tol", f"{path}.params.{key}", "required")
+            numbers.append(_number(sec.get(key, 1e-10), f"{path}.params.{key}"))
+        with _naming(f"{path}.params"):
+            params = SearchParams(*numbers)
 
-    opts = Options()
+    options: dict[str, Any] = {}
     if "options" in data:
         sec = data["options"]
         _expect(isinstance(sec, dict), f"{path}.options", "must be an object")
-        kwargs: dict[str, Any] = {}
         for key, val in sec.items():
-            if key == "class":
-                _expect(isinstance(val, str), f"{path}.options.class", "must be a string")
-                kwargs["function_class"] = val
-            elif key == "theorem":
-                _expect(isinstance(val, str), f"{path}.options.theorem", "must be a string")
-                kwargs["theorem"] = val
-            elif key in ("seed", "cases", "episodes", "samples"):
-                _expect(isinstance(val, int) and not isinstance(val, bool),
-                        f"{path}.options.{key}", "must be an integer")
-                kwargs[{"seed": "seed", "cases": "cases", "episodes": "episodes",
-                        "samples": "samples"}[key]] = val
-            elif key == "grid_shape":
-                shape = _number_list(val, f"{path}.options.grid_shape")
-                _expect(all(float(s).is_integer() and s >= 1 for s in shape),
-                        f"{path}.options.grid_shape", "must be positive integers")
-                kwargs["grid_shape"] = tuple(int(s) for s in shape)
-            elif key == "threshold":
-                if val is not None:
-                    _expect(isinstance(val, (int, float)), f"{path}.options.threshold",
-                            "must be a number or null")
-                    kwargs["threshold"] = float(val)
-            elif key == "operator":
-                _expect(isinstance(val, str), f"{path}.options.operator", "must be a string")
-                kwargs["operator"] = val
-            else:
-                raise ScenarioError(f"{path}.options.{key}: unknown option")
-        opts = Options(**kwargs)
+            _expect(key in _OPTIONS, f"{path}.options.{key}", "unknown option")
+            name, convert = _OPTIONS[key]
+            options[name] = convert(val, f"{path}.options.{key}")
 
-    return Scenario(SCHEMA_VERSION, grid, pmf_f, pmf_g, utility, params, opts)
-
-
-def scenario_to_dict(s: Scenario) -> dict:
-    out: dict[str, Any] = {"schema_version": s.schema_version}
-    if s.grid is not None:
-        out["grid"] = {"axes": [list(ax) for ax in s.grid.axes]}
-    pmfs = {}
-    if s.pmf_f is not None:
-        pmfs["f"] = list(s.pmf_f.mass)
-    if s.pmf_g is not None:
-        pmfs["g"] = list(s.pmf_g.mass)
-    if pmfs:
-        out["pmfs"] = pmfs
-    if s.utility is not None:
-        usec: dict[str, Any] = {"family": s.utility.family}
-        if s.utility.a is not None:
-            usec["a"] = list(s.utility.a)
-        if s.utility.values is not None:
-            usec["values"] = list(s.utility.values)
-        out["utility"] = usec
-    if s.params is not None:
-        out["params"] = {"beta": s.params.beta, "gamma": s.params.gamma, "tol": s.params.tol}
-    o = s.options
-    osec: dict[str, Any] = {}
-    if o.function_class is not None:
-        osec["class"] = o.function_class
-    if o.theorem is not None:
-        osec["theorem"] = o.theorem
-    defaults = Options()
-    for key, name in (
-        ("seed", "seed"), ("cases", "cases"), ("grid_shape", "grid_shape"),
-        ("episodes", "episodes"), ("threshold", "threshold"),
-        ("samples", "samples"), ("operator", "operator"),
-    ):
-        val = getattr(o, key)
-        if val != getattr(defaults, key):
-            osec[name] = list(val) if isinstance(val, tuple) else val
-    if osec:
-        out["options"] = osec
-    return out
+    return Scenario(
+        SCHEMA_VERSION, grid, pmfs.get("f"), pmfs.get("g"), utility, params, Options(**options)
+    )
 
 
 def load_scenario(path: str) -> Scenario:
@@ -255,12 +237,6 @@ def load_scenario(path: str) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path} is not valid JSON: {exc}") from None
     return scenario_from_dict(data)
-
-
-def write_scenario(s: Scenario, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(s), fh, indent=2)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +254,18 @@ def _need(value: Any, what: str) -> Any:
     return value
 
 
+def _with_flags(s: Scenario, args: argparse.Namespace) -> Scenario:
+    """The scenario with ``--seed``, ``--class`` and ``--theorem`` laid over
+    its options (``--beta/--gamma/--tol`` are resolved by ``_effective_params``)."""
+    flags = {name: getattr(args, name) for name in ("seed", "function_class", "theorem")}
+    options = dataclasses.replace(s.options, **{k: v for k, v in flags.items() if v is not None})
+    return dataclasses.replace(s, options=options)
+
+
+def _function_class(s: Scenario) -> FunctionClass:
+    return FunctionClass.from_name(_need(s.options.function_class, "options.class (or --class)"))
+
+
 def _effective_params(s: Scenario, args: argparse.Namespace) -> SearchParams:
     base = s.params
     beta = args.beta if args.beta is not None else (base.beta if base else None)
@@ -291,19 +279,21 @@ def _effective_params(s: Scenario, args: argparse.Namespace) -> SearchParams:
         raise ScenarioError(str(exc)) from None
 
 
+def _header(s: Scenario, args: argparse.Namespace, **fields: Any) -> dict[str, Any]:
+    """Report header: scenario path and schema version, then ``fields`` in
+    order, a ``SearchParams`` value spelled out as beta, gamma and tol."""
+    header = {"scenario": args.scenario, "schema_version": s.schema_version}
+    for key, val in fields.items():
+        header.update(dataclasses.asdict(val) if isinstance(val, SearchParams) else {key: val})
+    return header
+
+
 def _cmd_solve(s: Scenario, args: argparse.Namespace) -> tuple[Report, int]:
     grid = _need(s.grid, "scenario.grid")
     pmf = _need(s.pmf_f, "scenario.pmfs.f")
     utility = _need(s.utility, "scenario.utility").build(grid)
     params = _effective_params(s, args)
     sol = reservation_utility(pmf, utility, params)
-    config = {
-        "scenario": args.scenario,
-        "schema_version": s.schema_version,
-        "beta": params.beta,
-        "gamma": params.gamma,
-        "tol": params.tol,
-    }
     rows = [
         {
             "node": _node_label(grid.nodes[i]),
@@ -320,17 +310,15 @@ def _cmd_solve(s: Scenario, args: argparse.Namespace) -> tuple[Report, int]:
         "iterations": sol.iterations,
         "acceptance_size": len(sol.acceptance),
     }
-    return Report("solve", config, ("node", "mass", "utility", "value", "accept"), rows, summary), 0
+    return Report("solve", _header(s, args, params=params), ("node", "mass", "utility", "value", "accept"), rows, summary), 0
 
 
 def _cmd_dominate(s: Scenario, args: argparse.Namespace) -> tuple[Report, int]:
     _need(s.grid, "scenario.grid")
     f = _need(s.pmf_f, "scenario.pmfs.f")
     g = _need(s.pmf_g, "scenario.pmfs.g")
-    name = args.function_class or s.options.function_class
-    fc = FunctionClass.from_name(_need(name, "options.class (or --class)"))
+    fc = _function_class(s)
     result = dominates(f, g, fc)
-    config = {"scenario": args.scenario, "schema_version": s.schema_version, "class": fc.value}
     grid = f.grid
     rows = []
     for i in range(grid.size):
@@ -347,7 +335,7 @@ def _cmd_dominate(s: Scenario, args: argparse.Namespace) -> tuple[Report, int]:
         "reason": result.reason,
     }
     code = 0 if result.verdict == "dominates" else 1
-    return Report("dominance", config, ("node", "f_mass", "g_mass", "witness"), rows, summary), code
+    return Report("dominance", _header(s, args, **{"class": fc.value}), ("node", "f_mass", "g_mass", "witness"), rows, summary), code
 
 
 def _suite_rows(records) -> list[dict[str, Any]]:
@@ -386,9 +374,7 @@ _SUITE_COLUMNS = ("case_id", "theorem", "premise_dom", "premise_mem", "u_F", "u_
 
 
 def _cmd_verify(s: Scenario, args: argparse.Namespace) -> tuple[Report, int]:
-    theorem = args.theorem or s.options.theorem
-    theorem = _need(theorem, "options.theorem (or --theorem)")
-    seed = args.seed if args.seed is not None else s.options.seed
+    theorem = _need(s.options.theorem, "options.theorem (or --theorem)")
     explicit = s.pmf_f is not None or s.pmf_g is not None
     if s.options.cases is not None and explicit:
         raise ScenarioError(
@@ -397,17 +383,12 @@ def _cmd_verify(s: Scenario, args: argparse.Namespace) -> tuple[Report, int]:
         )
 
     if s.options.cases is not None:
-        config = SuiteConfig(theorem, s.options.cases, seed, s.options.grid_shape, jobs=args.jobs)
+        config = SuiteConfig(theorem, s.options.cases, s.options.seed, s.options.grid_shape, args.jobs)
         suite = run_suite(config)
-        header = {
-            "scenario": args.scenario,
-            "schema_version": s.schema_version,
-            "theorem": theorem,
-            "cases": config.n_cases,
-            "seed": seed,
-            "grid_shape": "x".join(str(n) for n in config.grid_shape),
-            "jobs": args.jobs,
-        }
+        header = _header(
+            s, args, theorem=theorem, cases=config.n_cases, seed=config.seed,
+            grid_shape="x".join(str(n) for n in config.grid_shape), jobs=config.jobs,
+        )
         summary: dict[str, Any] = dict(suite.summary)
         summary["suite_passed"] = suite.passed
         code = 0 if suite.passed else 1
@@ -420,14 +401,7 @@ def _cmd_verify(s: Scenario, args: argparse.Namespace) -> tuple[Report, int]:
     params = _effective_params(s, args)
     case = TheoremCase(theorem, f, g, utility, params)
     rep = verify_theorem(case)
-    header = {
-        "scenario": args.scenario,
-        "schema_version": s.schema_version,
-        "theorem": theorem,
-        "beta": params.beta,
-        "gamma": params.gamma,
-        "tol": params.tol,
-    }
+    header = _header(s, args, theorem=theorem, params=params)
     rows = [
         {
             "theorem": rep.theorem_id,
@@ -449,19 +423,12 @@ def _cmd_verify(s: Scenario, args: argparse.Namespace) -> tuple[Report, int]:
 
 
 def _cmd_closure(s: Scenario, args: argparse.Namespace) -> tuple[Report, int]:
-    name = args.function_class or s.options.function_class
-    fc = FunctionClass.from_name(_need(name, "options.class (or --class)"))
+    fc = _function_class(s)
     operator = _need(s.options.operator, "options.operator")
-    seed = args.seed if args.seed is not None else s.options.seed
-    rep = closure_check(fc, operator, s.options.samples, seed)
-    config = {
-        "scenario": args.scenario,
-        "schema_version": s.schema_version,
-        "class": fc.value,
-        "operator": operator,
-        "samples": rep.samples,
-        "seed": seed,
-    }
+    rep = closure_check(fc, operator, s.options.samples, s.options.seed)
+    header = _header(
+        s, args, **{"class": fc.value}, operator=operator, samples=rep.samples, seed=s.options.seed
+    )
     rows = [
         {
             "sample": idx,
@@ -481,7 +448,7 @@ def _cmd_closure(s: Scenario, args: argparse.Namespace) -> tuple[Report, int]:
         "passed": rep.passed,
     }
     return Report(
-        "closure", config, ("sample", "constraint", "nodes", "margin"), rows, summary
+        "closure", header, ("sample", "constraint", "nodes", "margin"), rows, summary
     ), (0 if rep.passed else 1)
 
 
@@ -490,19 +457,10 @@ def _cmd_simulate(s: Scenario, args: argparse.Namespace) -> tuple[Report, int]:
     pmf = _need(s.pmf_f, "scenario.pmfs.f")
     utility = _need(s.utility, "scenario.utility").build(grid)
     params = _effective_params(s, args)
-    seed = args.seed if args.seed is not None else s.options.seed
     threshold = s.options.threshold
     if threshold is None:
         threshold = reservation_utility(pmf, utility, params).reservation_utility
-    stats = simulate_search(pmf, utility, params, threshold, seed, s.options.episodes)
-    config = {
-        "scenario": args.scenario,
-        "schema_version": s.schema_version,
-        "beta": params.beta,
-        "gamma": params.gamma,
-        "tol": params.tol,
-        "seed": seed,
-    }
+    stats = simulate_search(pmf, utility, params, threshold, s.options.seed, s.options.episodes)
     rows = [
         {
             "threshold": threshold,
@@ -515,19 +473,20 @@ def _cmd_simulate(s: Scenario, args: argparse.Namespace) -> tuple[Report, int]:
     ]
     return Report(
         "simulate",
-        config,
+        _header(s, args, params=params, seed=s.options.seed),
         ("threshold", "mean", "stderr", "episodes", "horizon", "accept_rate"),
         rows,
         dict(rows[0]),
     ), 0
 
 
+#: subcommand -> (handler, help text)
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "dominate": _cmd_dominate,
-    "verify": _cmd_verify,
-    "closure": _cmd_closure,
-    "simulate": _cmd_simulate,
+    "solve": (_cmd_solve, "solve the stopping problem for pmf f"),
+    "dominate": (_cmd_dominate, "check class dominance of pmf f over pmf g"),
+    "verify": (_cmd_verify, "verify a comparative-statics theorem (single case or generated suite)"),
+    "closure": (_cmd_closure, "closure suite: operator preservation of class membership"),
+    "simulate": (_cmd_simulate, "Monte Carlo evaluation of a threshold policy"),
 }
 
 
@@ -538,15 +497,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "and comparative-statics verification on finite offer grids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    help_text = {
-        "solve": "solve the stopping problem for pmf f",
-        "dominate": "check class dominance of pmf f over pmf g",
-        "verify": "verify a comparative-statics theorem (single case or generated suite)",
-        "closure": "closure suite: operator preservation of class membership",
-        "simulate": "Monte Carlo evaluation of a threshold policy",
-    }
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=help_text[name])
+    for name, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("scenario", help="path to a JSON scenario file")
         p.add_argument("--beta", type=float, default=None, help="override params.beta")
         p.add_argument("--gamma", type=float, default=None, help="override params.gamma")
@@ -572,11 +524,8 @@ def run_command(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code) if exc.code else 0
     try:
-        scenario = load_scenario(args.scenario)
-        report, code = _COMMANDS[args.command](scenario, args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        scenario = _with_flags(load_scenario(args.scenario), args)
+        report, code = _COMMANDS[args.command][0](scenario, args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -585,8 +534,12 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         return 2
     sys.stdout.write(render_table(report))
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(emit_report(report, args.format))
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(emit_report(report, args.format))
+        except OSError as exc:
+            print(f"error: cannot write report {args.out}: {exc}", file=sys.stderr)
+            return 2
     return code
 
 

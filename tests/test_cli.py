@@ -127,6 +127,15 @@ REJECTED = [
     ({"schema_version": 1, "options": {"seed": True}}, "scenario.options.seed",
      "scenario.options.seed: must be an integer"),
     ([], "scenario", "scenario: must be a JSON object"),
+    # JSON booleans are not numbers
+    ({"schema_version": 1, "params": {"beta": True, "gamma": 1.0}}, "scenario.params.beta",
+     "scenario.params.beta: must be a number"),
+    ({"schema_version": 1, "params": {"beta": 0.5, "gamma": True}}, "scenario.params.gamma",
+     "scenario.params.gamma: must be a number"),
+    ({"schema_version": 1, "params": {"beta": 0.5, "gamma": 1.0, "tol": False}},
+     "scenario.params.tol", "scenario.params.tol: must be a number"),
+    ({"schema_version": 1, "options": {"threshold": True}}, "scenario.options.threshold",
+     "scenario.options.threshold: must be a number or null"),
 ]
 
 
@@ -189,6 +198,21 @@ class TestSubcommands:
         assert "# gamma = 2.5" in out
         # offers top out at 2 < gamma: searcher never strictly prefers stopping
         assert "# reservation_utility = 2.5" in out
+
+    def test_option_flags_override_file_values(self, tmp_path, capsys):
+        path = write_json(
+            tmp_path / "closure_flags.json",
+            {"schema_version": 1, "options": {"class": "increasing", "operator": "affine",
+                                              "samples": 2, "seed": 1}},
+        )
+        assert run_command(["closure", path, "--class", "supermodular", "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "# class = supermodular" in out and "# seed = 5" in out
+
+    def test_bad_beta_only_fails_commands_that_need_params(self, fosd_scenario, capsys):
+        assert run_command(["dominate", fosd_scenario, "--beta", "2"]) == 0
+        assert run_command(["solve", fosd_scenario, "--beta", "2"]) == 2
+        assert "beta must lie in (0, 1)" in capsys.readouterr().err
 
     def test_dominate_and_exit_codes(self, fosd_scenario, capsys):
         assert run_command(["dominate", fosd_scenario]) == 0
@@ -285,6 +309,27 @@ class TestSubcommands:
         assert run_command(["simulate", path]) == 0
         out = capsys.readouterr().out
         assert "# episodes = 5000" in out
+
+    def test_boolean_gamma_exits_2(self, tmp_path, capsys):
+        path = write_json(
+            tmp_path / "bool.json",
+            {
+                "schema_version": 1,
+                "grid": {"axes": [[0.0, 2.0]]},
+                "pmfs": {"f": [0.5, 0.5]},
+                "utility": {"family": "linear", "a": [1.0]},
+                "params": {"beta": 0.5, "gamma": True},
+            },
+        )
+        assert run_command(["solve", path]) == 2
+        assert capsys.readouterr().err == "error: scenario.params.gamma: must be a number\n"
+
+    def test_unwritable_out_exits_2(self, two_point_scenario, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.jsonl"
+        assert run_command(["solve", two_point_scenario, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write report {out}: ")
+        assert "Traceback" not in err and not out.exists()
 
     def test_missing_sections_exit_2(self, tmp_path, capsys):
         path = write_json(tmp_path / "empty.json", {"schema_version": 1})
