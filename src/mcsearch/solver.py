@@ -53,12 +53,22 @@ def continuation_map(
 ) -> float:
     """psi(t) = (1 - beta)*gamma + beta*E[max(U, t)]: nondecreasing in t and
     a contraction with modulus beta."""
-    if u.grid != pmf.grid:
-        raise ValueError("utility is tabulated on a different grid than the pmf")
+    _check_same_grid(pmf, u)
     if not math.isfinite(u_candidate):
         raise ValueError(f"candidate must be finite, got {u_candidate!r}")
-    expected = float(np.dot(pmf.mass_array, np.maximum(u.values_array, u_candidate)))
+    return _psi(u_candidate, pmf, u, params)
+
+
+def _psi(t: float, pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> float:
+    """``continuation_map`` without its argument checks: the solvers check
+    the grids once per solve and only ever pass finite candidates."""
+    expected = float(np.dot(pmf.mass_array, np.maximum(u.values_array, t)))
     return (1.0 - params.beta) * params.gamma + params.beta * expected
+
+
+def _check_same_grid(pmf: Pmf, u: TabulatedUtility) -> None:
+    if u.grid != pmf.grid:
+        raise ValueError("utility is tabulated on a different grid than the pmf")
 
 
 def equation_residual(t: float, pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> float:
@@ -74,15 +84,16 @@ def solve_fixed_point(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> tu
     Stops once one further step certifies both |t - t*| and the equation
     residual below the tolerance.
     """
+    _check_same_grid(pmf, u)
     beta, tol = params.beta, params.tol
     stop = 0.5 * tol * (1.0 - beta) / beta
     t = params.gamma
     for it in range(1, MAX_ITERATIONS + 1):
-        t_next = continuation_map(t, pmf, u, params)
+        t_next = _psi(t, pmf, u, params)
         if abs(t_next - t) <= stop:
             return t_next, it
         t = t_next
-    defect = abs(continuation_map(t, pmf, u, params) - t)
+    defect = abs(_psi(t, pmf, u, params) - t)
     raise ConvergenceError(
         f"fixed-point iteration did not converge in {MAX_ITERATIONS} steps "
         f"(last step {defect:.3e}, required {stop:.3e}); check beta/tol"
@@ -96,6 +107,7 @@ def solve_bisection(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> tupl
     large magnitudes where that width is below the float spacing, when the
     bracket has shrunk to two adjacent floats.
     """
+    _check_same_grid(pmf, u)
     beta, gamma, tol = params.beta, params.gamma, params.tol
     vals = u.values_array
     lo = min(gamma, float(vals.min()))
@@ -111,7 +123,7 @@ def solve_bisection(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> tupl
             raise ConvergenceError(
                 f"bisection did not reach width {width_stop:.3e} in {MAX_ITERATIONS} steps"
             )
-        if mid - continuation_map(mid, pmf, u, params) < 0.0:
+        if mid - _psi(mid, pmf, u, params) < 0.0:
             lo = mid
         else:
             hi = mid
@@ -125,8 +137,6 @@ def reservation_utility(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> 
     disagreement beyond 10x tolerance, or a residual above tolerance, raises
     ``ConvergenceError`` rather than returning silently inaccurate values.
     """
-    if u.grid != pmf.grid:
-        raise ValueError("utility is tabulated on a different grid than the pmf")
     t_fp, it_fp = solve_fixed_point(pmf, u, params)
     t_bi, it_bi = solve_bisection(pmf, u, params)
     if abs(t_fp - t_bi) > 10.0 * params.tol:
@@ -192,8 +202,7 @@ def simulate_search(
         raise ValueError("need at least one episode")
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold!r}")
-    if u.grid != pmf.grid:
-        raise ValueError("utility is tabulated on a different grid than the pmf")
+    _check_same_grid(pmf, u)
     beta, gamma = params.beta, params.gamma
     horizon = simulation_horizon(u, params)
     rng = np.random.default_rng(int(seed))

@@ -65,6 +65,25 @@ class TestContinuationMap:
         stray = tabulate(make_grid([[0, 1]]), [0, 1])
         with pytest.raises(ValueError, match="different grid"):
             continuation_map(1.0, pmf, stray, p)
+        for solve in (solve_fixed_point, solve_bisection, reservation_utility):
+            with pytest.raises(ValueError, match="different grid"):
+                solve(pmf, stray, p)
+
+    def test_fixed_point_steps_are_continuation_map(self):
+        # the solver loop skips the per-step checks but not one operation
+        grid = make_grid([[0.0, 1.0, 2.5], [1.0, 3.0]])
+        pmf = make_pmf(grid, [0.1, 0.2, 0.3, 0.15, 0.05, 0.2])
+        u = tabulate_family("product", grid)
+        p = SearchParams(0.95, 0.7)
+        stop = 0.5 * p.tol * (1.0 - p.beta) / p.beta
+        t, steps = p.gamma, 0
+        while True:
+            steps += 1
+            t_next = continuation_map(t, pmf, u, p)
+            if abs(t_next - t) <= stop:
+                break
+            t = t_next
+        assert solve_fixed_point(pmf, u, p) == (t_next, steps)
 
 
 class TestClosedForms:
