@@ -192,24 +192,20 @@ def _apply_transfer(
         p_pair = sorted(int(x) for x in rng.choice(shape[p], size=2, replace=False))
         q_pair = sorted(int(x) for x in rng.choice(shape[q], size=2, replace=False))
         others = [k for k in range(grid.ndim) if k not in (p, q)]
-        at = tuple(grid.axes[k][int(rng.integers(shape[k]))] for k in others)
+        multi = [0] * grid.ndim
+        for k in others:
+            multi[k] = int(rng.integers(shape[k]))
+        at = tuple(grid.axes[k][multi[k]] for k in others)
         cell = (
             (grid.axes[p][p_pair[0]], grid.axes[p][p_pair[1]]),
             (grid.axes[q][q_pair[0]], grid.axes[q][q_pair[1]]),
         )
 
-        def node_of(pv: float, qv: float) -> int:
-            coords = [0.0] * grid.ndim
-            coords[p] = pv
-            coords[q] = qv
-            for k, v in zip(others, at):
-                coords[k] = v
-            return grid.node_index(coords)
+        def mass_at(i: int, j: int) -> float:
+            multi[p], multi[q] = i, j
+            return g.mass[grid.flat_index(multi)]
 
-        donor = min(
-            g.mass[node_of(cell[0][0], cell[1][1])],
-            g.mass[node_of(cell[0][1], cell[1][0])],
-        )
+        donor = min(mass_at(p_pair[0], q_pair[1]), mass_at(p_pair[1], q_pair[0]))
         delta = donor * float(rng.uniform(0.2, 0.9))
         return concordance_transfer(g, (p, q), cell, delta, at=at or None)
     raise ValueError(f"unknown theorem id {theorem_id!r}")
