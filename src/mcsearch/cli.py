@@ -534,9 +534,10 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         return 2
     sys.stdout.write(render_table(report))
     if args.out:
+        data = emit_report(report, args.format)
         try:
             with open(args.out, "wb") as fh:
-                fh.write(emit_report(report, args.format))
+                fh.write(data)
         except OSError as exc:
             print(f"error: cannot write report {args.out}: {exc}", file=sys.stderr)
             return 2
