@@ -114,12 +114,15 @@ def _is_number(v: Any) -> bool:
 
 def _number(v: Any, path: str) -> float:
     _expect(_is_number(v), path, "must be a number")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ScenarioError(f"{path}: must be a finite number") from None
 
 
 def _nullable_number(v: Any, path: str) -> float | None:
     _expect(v is None or _is_number(v), path, "must be a number or null")
-    return None if v is None else float(v)
+    return None if v is None else _number(v, path)
 
 
 def _integer(v: Any, path: str) -> int:

@@ -1,6 +1,16 @@
 """Small dense linear-program solver.
 
-Two-phase primal simplex on the full tableau with Bland's anti-cycling rule.
+Two-phase primal simplex on the full tableau.  Each pivot is priced by
+Dantzig's rule: the most negative reduced cost enters, the lowest column
+index on ties.  The ratio test picks the smallest ratio, and among ratios
+within 1e-12 of it the row with the smallest basic column.  Dantzig's rule
+can cycle on degenerate programs (Beale's example does), so during a run of
+degenerate pivots the solver records a crc32 digest of each basis it
+visits.  When a recorded basis comes back it prices by Bland's rule (the
+first negative reduced cost), which cannot cycle, until the next pivot that
+strictly lowers the objective; that pivot clears the record and Dantzig
+pricing resumes.  A pivot that lowers the objective cannot lie on a cycle,
+so the solve terminates; a digest collision only starts Bland's rule early.
 Meant for the modest cone programs this package generates (at most a few
 thousand variables); it trades speed for determinism and transparent
 failure modes.  Programs it cannot certify come back with a non-``optimal``
@@ -8,6 +18,7 @@ status instead of a guess.
 """
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,11 +40,21 @@ class LpResult:
     status is one of ``optimal``, ``infeasible``, ``unbounded``,
     ``iteration_limit``, ``numerical`` (the tableau lost feasibility beyond
     repair).  ``x`` and ``fun`` are populated only when status == ``optimal``.
+
+    The pivot counts are set whatever the status: pivots of phase 1 and of
+    phase 2 (not counting the pivots that drive zero-valued artificials out
+    of the basis), how many of them were degenerate (a step of length 0),
+    and how many were priced by Bland's rule.  They are deterministic, for
+    diagnostics only, and are never written to a report.
     """
 
     status: str
     x: np.ndarray | None
     fun: float | None
+    phase1_pivots: int = 0
+    phase2_pivots: int = 0
+    degenerate_pivots: int = 0
+    bland_pivots: int = 0
 
     @property
     def ok(self) -> bool:
@@ -152,58 +173,77 @@ def solve_lp(
     if max_iter is None:
         max_iter = 2000 + 50 * (m + total_cols)
 
-    def run(cost: np.ndarray, allowed: np.ndarray, iters_left: int) -> tuple[str, int]:
-        # Maintain the reduced-cost row explicitly; Bland's rule everywhere.
+    counts = dict(phase1_pivots=0, phase2_pivots=0, degenerate_pivots=0, bland_pivots=0)
+
+    def run(cost: np.ndarray, n_enter: int, iters_left: int, phase: str) -> str:
+        # Maintain the reduced-cost row explicitly.  Only the first n_enter
+        # columns may enter (phase 2 blocks the trailing artificials).
+        # Dantzig pricing until a run of degenerate pivots brings back a
+        # basis it has already visited, then Bland's rule until the next
+        # pivot that moves the objective.  Each pivot is counted under
+        # ``phase`` in ``counts``.
         z = cost.copy()
         for i in range(m):
             if cost[basis[i]] != 0.0:
                 z -= cost[basis[i]] * T[i, :-1]
-        used = 0
-        while used < iters_left:
-            enter = -1
-            for j in range(total_cols):
-                if allowed[j] and z[j] < -OPT_TOL:
-                    enter = j
-                    break
-            if enter < 0:
-                return "optimal", used
+        priced = z[:n_enter]
+        bland = False
+        seen: set[int] = set()  # crc32 digests of the bases of this degenerate run
+        for _ in range(iters_left):
+            if bland:
+                negative = (priced < -OPT_TOL).nonzero()[0]
+                if negative.size == 0:
+                    return "optimal"
+                enter = int(negative[0])
+            else:
+                enter = int(priced.argmin())
+                if not priced[enter] < -OPT_TOL:
+                    return "optimal"
+            if not m:
+                return "unbounded"  # no row is left to block the entering column
             col = T[:, enter]
-            best_ratio = np.inf
-            leave = -1
-            for i in range(m):
-                if col[i] > PIVOT_TOL:
-                    # clamp float drift: a basic value can sit at -1e-15 and
-                    # must act as 0, never as a negative ratio
-                    ratio = max(T[i, -1], 0.0) / col[i]
-                    if ratio < best_ratio - 1e-12 or (
-                        abs(ratio - best_ratio) <= 1e-12
-                        and (leave < 0 or basis[i] < basis[leave])
-                    ):
-                        best_ratio = ratio
-                        leave = i
-            if leave < 0:
-                return "unbounded", used
+            # clamp float drift: a basic value can sit at -1e-15 and must act
+            # as 0, never as a negative ratio; rows that cannot block stay inf
+            ratios = np.full(m, np.inf)
+            np.divide(np.maximum(T[:, -1], 0.0), col, out=ratios, where=col > PIVOT_TOL)
+            leave = int(ratios.argmin())
+            best = ratios[leave]
+            if best == np.inf:
+                return "unbounded"
+            tied = (ratios <= best + 1e-12).nonzero()[0]
+            if tied.size > 1:
+                leave = int(tied[basis[tied].argmin()])
             _pivot(T, z, leave, enter)
             basis[leave] = enter
             rhs = T[:, -1]
             rhs[(rhs < 0.0) & (rhs > -1e-9)] = 0.0
-            used += 1
-        return "iteration_limit", used
+            counts[phase] += 1
+            counts["bland_pivots"] += bland
+            if best == 0.0:
+                counts["degenerate_pivots"] += 1
+                digest = zlib.crc32(basis.tobytes())
+                if digest in seen:
+                    bland = True
+                seen.add(digest)
+            else:  # the objective moved, so no earlier basis can come back
+                seen.clear()
+                bland = False
+        return "iteration_limit"
+
+    def result(status: str, x: np.ndarray | None = None, fun: float | None = None) -> LpResult:
+        return LpResult(status, x, fun, **counts)
 
     # --- phase 1 -------------------------------------------------------------
-    used_total = 0
     if n_art:
         cost1 = np.zeros(total_cols)
         cost1[art_cols] = 1.0
-        allowed = np.ones(total_cols, bool)
-        status, used = run(cost1, allowed, max_iter)
-        used_total += used
+        status = run(cost1, total_cols, max_iter, "phase1_pivots")
         if status != "optimal":
-            return LpResult(status, None, None)
+            return result(status)
         art_set = set(art_cols)
         art_val = sum(T[i, -1] for i in range(m) if basis[i] in art_set)
         if art_val > 1e-8:
-            return LpResult("infeasible", None, None)
+            return result("infeasible")
         # drive remaining zero-valued artificials out of the basis
         drop_rows = []
         for i in range(m):
@@ -229,11 +269,9 @@ def solve_lp(
     cost2 = np.zeros(total_cols)
     for q, (j, s) in enumerate(cols):
         cost2[q] = s * c[j]
-    allowed = np.ones(total_cols, bool)
-    allowed[art_cols] = False
-    status, used = run(cost2, allowed, max_iter - used_total)
+    status = run(cost2, full.shape[1], max_iter - counts["phase1_pivots"], "phase2_pivots")
     if status != "optimal":
-        return LpResult(status, None, None)
+        return result(status)
 
     y = np.zeros(total_cols)
     for i in range(m):
@@ -245,13 +283,13 @@ def solve_lp(
     # certify the answer: a tableau that silently lost feasibility must not
     # masquerade as optimal
     if a_ub.size and np.any(a_ub @ x - b_ub > FEAS_TOL):
-        return LpResult("numerical", None, None)
+        return result("numerical")
     if a_eq.size and np.any(np.abs(a_eq @ x - b_eq) > FEAS_TOL):
-        return LpResult("numerical", None, None)
+        return result("numerical")
     for j, (lo, hi) in enumerate(bounds):
         if (lo is not None and x[j] < lo - FEAS_TOL) or (hi is not None and x[j] > hi + FEAS_TOL):
-            return LpResult("numerical", None, None)
-    return LpResult("optimal", x, float(c @ x))
+            return result("numerical")
+    return result("optimal", x, float(c @ x))
 
 
 def _pivot(T: np.ndarray, z: np.ndarray, row: int, col: int) -> None:

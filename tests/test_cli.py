@@ -324,6 +324,20 @@ class TestSubcommands:
         assert run_command(["solve", path]) == 2
         assert capsys.readouterr().err == "error: scenario.params.gamma: must be a number\n"
 
+    def test_number_beyond_float_range_exits_2(self, tmp_path, capsys):
+        path = write_json(
+            tmp_path / "huge.json",
+            {
+                "schema_version": 1,
+                "grid": {"axes": [[0.0, 2.0]]},
+                "pmfs": {"f": [0.5, 0.5]},
+                "utility": {"family": "linear", "a": [1.0]},
+                "params": {"beta": 0.5, "gamma": 10**400},
+            },
+        )
+        assert run_command(["solve", path]) == 2
+        assert capsys.readouterr().err == "error: scenario.params.gamma: must be a finite number\n"
+
     def test_unwritable_out_exits_2(self, two_point_scenario, tmp_path, capsys):
         out = tmp_path / "missing" / "r.jsonl"
         assert run_command(["solve", two_point_scenario, "--out", str(out)]) == 2

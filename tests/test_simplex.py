@@ -2,7 +2,27 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from mcsearch.simplex import solve_lp
+from conftest import random_grid, random_pmf
+from mcsearch.dominance import _convex_cone_program
+from mcsearch.grids import common_grid, derive_rng, make_grid, make_pmf
+from mcsearch.simplex import LpResult, solve_lp
+from mcsearch.statics import generate_case
+
+#: Beale's example (1955): Dantzig pricing with lowest-index ties cycles
+#: through six degenerate bases and never reaches the optimum -1.25.
+BEALE = dict(
+    c=[-0.75, 20, -0.5, 6],
+    a_ub=[[0.25, -8, -1, 9], [0.5, -12, -0.5, 3], [0, 0, 1, 0]],
+    b_ub=[0, 0, 1],
+)
+
+
+def _convex_lp(f, g):
+    """The convex dominance LP as ``dominates`` builds it: (c, a_ub, b_ub, bounds)."""
+    grid, fe, ge = common_grid(f, g)
+    a_ub, bounds = _convex_cone_program(grid)
+    c = np.concatenate([fe.mass_array - ge.mass_array, np.zeros(a_ub.shape[1] - grid.size)])
+    return c, a_ub, np.zeros(a_ub.shape[0]), bounds
 
 
 class TestKnownPrograms:
@@ -38,14 +58,45 @@ class TestKnownPrograms:
         assert res.ok and res.x[0] == pytest.approx(-10.0)
 
     def test_degenerate_redundant_rows(self):
-        # duplicated constraints force degenerate pivots; Bland's rule copes
+        # duplicated constraints force degenerate pivots; no basis repeats,
+        # so Dantzig pricing alone reaches the optimum
         a = [[1, 1], [1, 1], [2, 2], [1, 0]]
         res = solve_lp([-1, -2], a_ub=a, b_ub=[2, 2, 4, 1])
         assert res.ok and res.fun == pytest.approx(-4.0)
+        assert res.bland_pivots == 0
 
     def test_zero_objective(self):
         res = solve_lp([0.0, 0.0], a_ub=[[1, 1]], b_ub=[1.0])
         assert res.ok and res.fun == 0.0
+
+
+class TestPricing:
+    def test_beale_cycling_program(self):
+        for max_iter in (None, 1000):
+            res = solve_lp(**BEALE, max_iter=max_iter)
+            assert res.ok and res.fun == pytest.approx(-1.25, abs=1e-12)
+            # the cycle is detected by a repeated basis and broken by Bland
+            assert res.bland_pivots > 0 and res.degenerate_pivots > 0
+
+    def test_pivot_counts(self):
+        res = solve_lp([-1.0, -1.0], a_ub=[[1, 2], [3, 1]], b_ub=[4, 6])
+        assert (res.phase1_pivots, res.phase2_pivots, res.degenerate_pivots, res.bland_pivots) == (0, 2, 0, 0)
+        res = solve_lp([1.0, 2.0], a_eq=[[1, 1]], b_eq=[3.0])
+        assert (res.phase1_pivots, res.phase2_pivots) == (1, 0)
+
+    def test_counts_default_to_zero(self):
+        res = LpResult("optimal", None, None)
+        assert (res.phase1_pivots, res.phase2_pivots, res.degenerate_pivots, res.bland_pivots) == (0, 0, 0, 0)
+
+    def test_convex_stall_case_needs_no_bland(self):
+        # T2b 4x4 seed 7 case 0 stopped at the iteration limit under Bland
+        # pricing; its cone LP is all degenerate pivots and never revisits a basis
+        case = generate_case("T2b", 0, 7, (4, 4))
+        c, a_ub, b_ub, bounds = _convex_lp(case.f, case.g)
+        res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, bounds=bounds)
+        assert res.ok and res.fun >= -1e-9
+        assert res.bland_pivots == 0
+        assert res.degenerate_pivots == res.phase1_pivots + res.phase2_pivots > 0
 
 
 def _random_program(rng):
@@ -104,6 +155,50 @@ class TestAgainstScipy:
             ref = linprog(c, A_ub=rows, b_ub=np.zeros(m), bounds=bounds, method="highs")
             assert mine.ok and ref.status == 0
             assert mine.fun == pytest.approx(ref.fun, abs=1e-8)
+
+
+def _benchmark_pair(rng, shape):
+    """A Dirichlet pair on a random grid, drawn as the ``convex`` workload
+    of ``perfbench`` draws it."""
+    axes = [
+        rng.uniform(-1.0, 1.0) + np.concatenate([[0.0], np.cumsum(rng.uniform(0.4, 1.4, n - 1))])
+        for n in shape
+    ]
+    grid = make_grid(axes)
+    f = make_pmf(grid, rng.dirichlet(np.ones(grid.size)))
+    g = make_pmf(grid, rng.dirichlet(np.ones(grid.size)))
+    return f, g
+
+
+class TestConvexConeAgainstHighs:
+    """The convex cone LP has a zero right-hand side, so every pivot of a
+    dominating pair and many of a failing one are degenerate."""
+
+    @staticmethod
+    def _check(f, g):
+        c, a_ub, b_ub, bounds = _convex_lp(f, g)
+        mine = solve_lp(c, a_ub=a_ub, b_ub=b_ub, bounds=bounds)
+        ref = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+        assert mine.ok and ref.status == 0
+        assert mine.fun == pytest.approx(ref.fun, abs=1e-8)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 4), (2, 2, 2)])
+    def test_random_dirichlet_pairs(self, shape):
+        rng = np.random.default_rng(sum(shape) * 131 + len(shape))
+        for _ in range(6):
+            grid = random_grid(rng, shape)
+            self._check(random_pmf(grid, rng), random_pmf(grid, rng))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 4)])
+    def test_dominating_pairs(self, shape):
+        for index in range(3):
+            case = generate_case("T2b", index, 11, shape)
+            self._check(case.f, case.g)
+
+    def test_pair_formerly_reported_unbounded(self):
+        # the LP is bounded (0 <= U <= 1), but after 365 pivots priced by
+        # Bland's rule alone no row blocked the entering column any more
+        self._check(*_benchmark_pair(derive_rng(43, 1, 45), (3, 3)))
 
 
 class TestValidation:

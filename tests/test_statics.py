@@ -108,6 +108,22 @@ class TestSuites:
         assert report.summary == {"pass": 15, "fail": 0, "vacuous": 0}
         assert report.passed
 
+    @pytest.mark.parametrize("shape, n_cases", [((4, 4), 6), ((5, 5), 3)])
+    def test_convex_suites_above_3x3_are_not_vacuous(self, shape, n_cases):
+        # at seed 7, cases 0 and 4 on 4x4 used to stop at the simplex
+        # iteration limit, and a 5x5 case took more than a minute
+        report = run_suite(SuiteConfig("T2b", n_cases, seed=7, grid_shape=shape))
+        assert report.summary == {"pass": n_cases, "fail": 0, "vacuous": 0}
+
+    @pytest.mark.parametrize(
+        "seed, index", [(502, 33), (503, 80), (503, 158), (504, 136), (505, 15), (508, 113), (509, 75)]
+    )
+    def test_convex_cases_formerly_numerical_pass(self, seed, index):
+        # these 3x3 cases ended vacuous with LP status ``numerical`` while
+        # every pivot was priced by Bland's rule
+        rep = verify_theorem(generate_case("T2b", index, seed, (3, 3)))
+        assert rep.status == "pass", rep.reason
+
     def test_empty_suite(self):
         report = run_suite(SuiteConfig("T2a", 0, seed=0))
         assert report.records == ()
