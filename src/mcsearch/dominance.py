@@ -26,6 +26,7 @@ from .utility import (
     MEMBERSHIP_TOL,
     FunctionClass,
     TabulatedUtility,
+    convex_pairs,
     is_member,
     local_rows,
     tabulate,
@@ -123,16 +124,16 @@ def _convex_cone_program(grid: Grid) -> tuple[np.ndarray, list[tuple[float | Non
 
     Variables are the n utility values followed by one subgradient vector
     per node; rows encode u_j >= u_i + g_i . (x_j - x_i) for every ordered
-    node pair, i.e. extendability to a convex function on R^K.
+    node pair of ``convex_pairs``, in its order, i.e. extendability to a
+    convex function on R^K.
     """
     n, k = grid.size, grid.ndim
-    nodes = grid.nodes
-    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    i, j, diff = convex_pairs(grid)
     r = np.arange(i.size)
     a_ub = np.zeros((i.size, n + n * k))
     a_ub[r, i] = 1.0
     a_ub[r, j] = -1.0
-    a_ub[r[:, None], n + i[:, None] * k + np.arange(k)] = nodes[j] - nodes[i]
+    a_ub[r[:, None], n + i[:, None] * k + np.arange(k)] = diff
     bounds: list[tuple[float | None, float | None]] = [(0.0, 1.0)] * n
     bounds += [(None, None)] * (n * k)
     return a_ub, bounds

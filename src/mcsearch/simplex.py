@@ -15,6 +15,12 @@ Meant for the modest cone programs this package generates (at most a few
 thousand variables); it trades speed for determinism and transparent
 failure modes.  Programs it cannot certify come back with a non-``optimal``
 status instead of a guess.
+
+The standard form comes from one variable map: a variable is shifted by its
+lower bound, reflected about an upper-only bound, or if free split into y+
+then y-; finite ranges become extra rows; slack columns follow, then
+trailing artificials.  A solve stops after the fixed cap of
+``2000 + 50 * (rows + columns)`` pivots.
 """
 from __future__ import annotations
 
@@ -68,14 +74,18 @@ def solve_lp(
     a_eq: np.ndarray | None = None,
     b_eq: Sequence[float] | None = None,
     bounds: Sequence[tuple[float | None, float | None]] | None = None,
-    *,
-    max_iter: int | None = None,
 ) -> LpResult:
     """Minimize ``c @ x`` subject to ``a_ub @ x <= b_ub``, ``a_eq @ x == b_eq``
     and per-variable bounds.
 
     ``bounds`` entries are (lo, hi) with None for unbounded; the default is
     (0, None) for every variable, matching the usual LP convention.
+
+    Standard form: columns ``y >= 0`` for the variables in order (``x = lo
+    + y``, ``x = hi - y`` for an upper-only bound, ``x = y+ - y-`` for a
+    free one), a slack per non-equality row, then an artificial per equality
+    or negative-rhs row; rows ``a_ub``, ``a_eq``, then ``y <= hi - lo`` per
+    finite range.  ``iteration_limit`` after ``2000 + 50 * (rows + cols)`` pivots.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -89,89 +99,45 @@ def solve_lp(
         bounds = [(0.0, None)] * n
     if len(bounds) != n:
         raise ValueError("need one bounds pair per variable")
+    lo = np.array([-np.inf if v is None else v for v, _ in bounds], dtype=float)
+    hi = np.array([np.inf if v is None else v for _, v in bounds], dtype=float)
+    if np.any(hi < lo):
+        j = int((hi < lo).argmax())
+        raise ValueError(f"bounds for variable {j} are empty: ({lo[j]}, {hi[j]})")
 
-    # --- shift/split variables to y >= 0 -----------------------------------
-    # x_j = offset_j + sign_j * y_cols  (free variables contribute y+ - y-)
-    cols: list[tuple[int, float]] = []   # (original var, sign) per y column
-    offset = np.zeros(n)
-    extra_ub_rows: list[tuple[int, float]] = []  # (y column, upper bound)
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is not None and hi is not None and hi < lo:
-            raise ValueError(f"bounds for variable {j} are empty: ({lo}, {hi})")
-        if lo is not None:
-            offset[j] = lo
-            cols.append((j, 1.0))
-            if hi is not None:
-                extra_ub_rows.append((len(cols) - 1, hi - lo))
-        elif hi is not None:
-            offset[j] = hi
-            cols.append((j, -1.0))
-        else:
-            cols.append((j, 1.0))
-            cols.append((j, -1.0))
+    # --- variable map: x = offset, then x[var[q]] += sign[q] * y[q] ---------
+    has_lo, has_hi = lo > -np.inf, hi < np.inf
+    free = ~has_lo & ~has_hi
+    var = np.repeat(np.arange(n), 1 + free)
+    sign = np.where(has_lo[var], 1.0, -1.0)
+    first = np.cumsum(1 + free) - 1 - free  # each variable's first column
+    sign[first[free]] = 1.0
+    offset = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+    box = (has_lo & has_hi).nonzero()[0]
+    ny = var.size
 
-    ny = len(cols)
-
-    def to_y(mat: np.ndarray) -> np.ndarray:
-        out = np.empty((mat.shape[0], ny))
-        for q, (j, s) in enumerate(cols):
-            out[:, q] = s * mat[:, j]
-        return out
-
-    rows_a = [to_y(a_ub), to_y(a_eq)]
-    rhs = [b_ub - a_ub @ offset, b_eq - a_eq @ offset]
-    is_eq = [np.zeros(a_ub.shape[0], bool), np.ones(a_eq.shape[0], bool)]
-    if extra_ub_rows:
-        box = np.zeros((len(extra_ub_rows), ny))
-        box_rhs = np.empty(len(extra_ub_rows))
-        for r, (q, ub) in enumerate(extra_ub_rows):
-            box[r, q] = 1.0
-            box_rhs[r] = ub
-        rows_a.append(box)
-        rhs.append(box_rhs)
-        is_eq.append(np.zeros(len(extra_ub_rows), bool))
-
-    A = np.vstack(rows_a)
-    b = np.concatenate(rhs)
-    eq_mask = np.concatenate(is_eq)
-    m = A.shape[0]
-
-    # --- standard form: slacks for <= rows, rows flipped so b >= 0 ----------
-    n_slack = int((~eq_mask).sum())
-    full = np.zeros((m, ny + n_slack))
-    full[:, :ny] = A
-    slack_col = ny
-    slack_of_row = np.full(m, -1)
-    for i in range(m):
-        if not eq_mask[i]:
-            full[i, slack_col] = 1.0
-            slack_of_row[i] = slack_col
-            slack_col += 1
+    # --- tableau: rows flipped so b >= 0; a row whose slack survived the
+    # flip with +1 starts with it basic, the others with an artificial ------
+    m_a = a_ub.shape[0] + a_eq.shape[0]
+    m = m_a + box.size
+    eq = (np.arange(m) >= a_ub.shape[0]) & (np.arange(m) < m_a)
+    slack_rows = (~eq).nonzero()[0]
+    n_cols = ny + slack_rows.size  # structural and slack columns
+    b = np.concatenate([b_ub - a_ub @ offset, b_eq - a_eq @ offset, (hi - lo)[box]])
     flip = b < 0
-    full[flip] *= -1.0
-    b = np.where(flip, -b, b)
-
-    # rows whose slack survived the flip with +1 start basic; others get
-    # an artificial variable
-    need_art = [i for i in range(m) if eq_mask[i] or flip[i]]
-    n_art = len(need_art)
-    T = np.zeros((m, full.shape[1] + n_art + 1))
-    T[:, : full.shape[1]] = full
-    T[:, -1] = b
+    art_rows = (eq | flip).nonzero()[0]
+    total_cols = n_cols + art_rows.size
+    T = np.zeros((m, total_cols + 1))
+    T[:m_a, :ny] = np.vstack([a_ub, a_eq])[:, var] * sign
+    T[m_a + np.arange(box.size), first[box]] = 1.0
+    T[slack_rows, ny + np.arange(slack_rows.size)] = 1.0
+    T[flip, :n_cols] *= -1.0
+    T[:, -1] = np.where(flip, -b, b)
+    T[art_rows, n_cols + np.arange(art_rows.size)] = 1.0
     basis = np.empty(m, dtype=int)
-    art_cols = []
-    for k, i in enumerate(need_art):
-        col = full.shape[1] + k
-        T[i, col] = 1.0
-        basis[i] = col
-        art_cols.append(col)
-    for i in range(m):
-        if slack_of_row[i] >= 0 and not flip[i]:
-            basis[i] = slack_of_row[i]
-
-    total_cols = T.shape[1] - 1
-    if max_iter is None:
-        max_iter = 2000 + 50 * (m + total_cols)
+    basis[slack_rows] = ny + np.arange(slack_rows.size)
+    basis[art_rows] = n_cols + np.arange(art_rows.size)
+    pivot_limit = 2000 + 50 * (m + total_cols)
 
     counts = dict(phase1_pivots=0, phase2_pivots=0, degenerate_pivots=0, bland_pivots=0)
 
@@ -233,62 +199,51 @@ def solve_lp(
     def result(status: str, x: np.ndarray | None = None, fun: float | None = None) -> LpResult:
         return LpResult(status, x, fun, **counts)
 
-    # --- phase 1 -------------------------------------------------------------
-    if n_art:
+    # --- phase 1: the artificials are the trailing columns ------------------
+    if art_rows.size:
         cost1 = np.zeros(total_cols)
-        cost1[art_cols] = 1.0
-        status = run(cost1, total_cols, max_iter, "phase1_pivots")
+        cost1[n_cols:] = 1.0
+        status = run(cost1, total_cols, pivot_limit, "phase1_pivots")
         if status != "optimal":
             return result(status)
-        art_set = set(art_cols)
-        art_val = sum(T[i, -1] for i in range(m) if basis[i] in art_set)
-        if art_val > 1e-8:
+        art_rows = (basis >= n_cols).nonzero()[0]
+        if T[art_rows, -1].sum() > 1e-8:
             return result("infeasible")
-        # drive remaining zero-valued artificials out of the basis
+        # drive remaining zero-valued artificials out of the basis; a row
+        # with no structural or slack entry left is redundant and dropped
         drop_rows = []
-        for i in range(m):
-            if basis[i] in art_set:
-                piv = -1
-                for j in range(total_cols):
-                    if j not in art_set and abs(T[i, j]) > PIVOT_TOL:
-                        piv = j
-                        break
-                if piv >= 0:
-                    dummy = np.zeros(total_cols)
-                    _pivot(T, dummy, i, piv)
-                    basis[i] = piv
-                else:
-                    drop_rows.append(i)  # redundant row
+        for i in art_rows:
+            piv = (np.abs(T[i, :n_cols]) > PIVOT_TOL).nonzero()[0]
+            if piv.size:
+                _pivot(T, np.zeros(total_cols), i, piv[0])
+                basis[i] = piv[0]
+            else:
+                drop_rows.append(i)
         if drop_rows:
-            keep = np.array([i for i in range(m) if i not in set(drop_rows)], dtype=int)
-            T = T[keep]
-            basis = basis[keep]
-            m = len(keep)
+            T = np.delete(T, drop_rows, axis=0)
+            basis = np.delete(basis, drop_rows)
+            m = basis.size
 
     # --- phase 2 -------------------------------------------------------------
     cost2 = np.zeros(total_cols)
-    for q, (j, s) in enumerate(cols):
-        cost2[q] = s * c[j]
-    status = run(cost2, full.shape[1], max_iter - counts["phase1_pivots"], "phase2_pivots")
+    cost2[:ny] = sign * c[var]
+    status = run(cost2, n_cols, pivot_limit - counts["phase1_pivots"], "phase2_pivots")
     if status != "optimal":
         return result(status)
 
     y = np.zeros(total_cols)
-    for i in range(m):
-        y[basis[i]] = T[i, -1]
+    y[basis] = T[:, -1]
     x = offset.copy()
-    for q, (j, s) in enumerate(cols):
-        x[j] += s * y[q]
+    np.add.at(x, var, sign * y[:ny])
 
     # certify the answer: a tableau that silently lost feasibility must not
     # masquerade as optimal
-    if a_ub.size and np.any(a_ub @ x - b_ub > FEAS_TOL):
+    if (
+        np.any(a_ub @ x - b_ub > FEAS_TOL)
+        or np.any(np.abs(a_eq @ x - b_eq) > FEAS_TOL)
+        or np.any((x < lo - FEAS_TOL) | (x > hi + FEAS_TOL))
+    ):
         return result("numerical")
-    if a_eq.size and np.any(np.abs(a_eq @ x - b_eq) > FEAS_TOL):
-        return result("numerical")
-    for j, (lo, hi) in enumerate(bounds):
-        if (lo is not None and x[j] < lo - FEAS_TOL) or (hi is not None and x[j] > hi + FEAS_TOL):
-            return result("numerical")
     return result("optimal", x, float(c @ x))
 
 

@@ -19,7 +19,9 @@ cache of read-only arrays; spacing-dependent coefficients are computed on
 every call.
 
 Joint convexity is tested as extendability to a convex function on R^K:
-a subgradient must exist at every node.  Composite classes are conjunctions.
+a subgradient must exist at every node.  Its cone is the list of ordered
+node pairs from ``convex_pairs``, read by the subgradient membership LPs
+and the dominance LP.  Composite classes are conjunctions.
 """
 from __future__ import annotations
 
@@ -229,7 +231,7 @@ def local_rows(grid: Grid, function_class: FunctionClass) -> ConeMatrix:
     componentwise-convex coefficients ``1/h1, -(1/h1 + 1/h2), 1/h2`` are
     recomputed from the grid's axes on every call.  The convex class has no
     purely local characterization (it needs subgradient variables) and is
-    rejected here.
+    rejected here; its cone is ``convex_pairs``.
     """
     if function_class is FunctionClass.CONVEX:
         raise ValueError("the convex class is not defined by local rows")
@@ -252,6 +254,18 @@ def local_rows(grid: Grid, function_class: FunctionClass) -> ConeMatrix:
             shared = np.stack([inv_h1, -(inv_h1 + inv_h2), inv_h2], axis=-1)
         coeff[rows, :w] = shared
     return ConeMatrix(idx, coeff, tuple(zip(families, stops.tolist())))
+
+
+def convex_pairs(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The convex class's cone on this grid: the ordered node pairs ``(i, j)``
+    with ``i != j``, i-major, and ``x_j - x_i`` for each.
+
+    A utility is convex-extendable iff every node i has a subgradient g_i
+    with ``u_j - u_i >= g_i . (x_j - x_i)`` over its pairs, which are rows
+    ``i*(n-1):(i+1)*(n-1)``.
+    """
+    i, j = np.nonzero(~np.eye(grid.size, dtype=bool))
+    return i, j, grid.nodes[j] - grid.nodes[i]
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +297,20 @@ class MembershipResult:
         return self.member
 
 
-def _subgradient_margin(u: TabulatedUtility, i: int) -> float:
+def _subgradient_margin(u: TabulatedUtility, i: int, pairs: tuple[np.ndarray, ...]) -> float:
     """Best achievable max-violation of the subgradient inequalities at node i.
 
     Solves min v s.t. g . (x_j - x_i) - (u_j - u_i) <= v for all j, with v
     floored at -1 to keep the program bounded.  A value <= 0 means an exact
     subgradient exists; small positive values measure how far node i sits
-    above every supporting hyperplane.
+    above every supporting hyperplane.  ``pairs`` is ``convex_pairs(u.grid)``.
     """
-    nodes = u.grid.nodes
+    _, j, diff = pairs
+    n = u.grid.size
+    rows = slice(i * (n - 1), (i + 1) * (n - 1))
     vals = u.values_array
-    d = np.delete(nodes - nodes[i], i, axis=0)
-    delta = np.delete(vals - vals[i], i)
+    d = diff[rows]
+    delta = vals[j[rows]] - vals[i]
     k = u.grid.ndim
     a_ub = np.hstack([d, -np.ones((d.shape[0], 1))])
     c = np.zeros(k + 1)
@@ -322,8 +338,9 @@ def is_member(
     if tol <= 0:
         raise ValueError("tol must be positive")
     if function_class is FunctionClass.CONVEX:
+        pairs = convex_pairs(u.grid)
         for i in range(u.grid.size):
-            v_star = _subgradient_margin(u, i)
+            v_star = _subgradient_margin(u, i, pairs)
             if v_star > tol:
                 witness = Witness("subgradient", (u.grid.node(i),), -v_star)
                 return MembershipResult(False, function_class, witness, tol)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import mcsearch.dominance as dominance_module
 from mcsearch import FunctionClass, dominates, is_member, make_grid, make_pmf, random_member, tabulate
 from mcsearch.dominance import _convex_cone_program
-from mcsearch.utility import _FAMILIES, MEMBERSHIP_TOL, _family_topology, local_rows
+from mcsearch.utility import _FAMILIES, MEMBERSHIP_TOL, _family_topology, convex_pairs, local_rows
 from cone_oracle import (
     ROW_BUILDERS,
     oracle_a_ub,
@@ -118,6 +118,19 @@ class TestConeMatrix:
         a_ub, bounds = _convex_cone_program(grid)
         assert _bits(a_ub) == _bits(oracle_convex_program(grid))
         assert len(bounds) == a_ub.shape[1]
+
+    @PROPERTY
+    @given(grid=grids(st.sampled_from([(1,), (4,), (2, 3), (3, 3), (2, 2, 2)])))
+    def test_convex_pairs_rows_per_node(self, grid):
+        """Node i's subgradient rows are i*(n-1):(i+1)*(n-1): every other
+        node in order, with x_j - x_i."""
+        i, j, diff = convex_pairs(grid)
+        n, nodes = grid.size, grid.nodes
+        for node in range(n):
+            rows = slice(node * (n - 1), (node + 1) * (n - 1))
+            assert (i[rows] == node).all()
+            assert np.array_equal(j[rows], np.delete(np.arange(n), node))
+            assert _bits(diff[rows]) == _bits(np.delete(nodes - nodes[node], node, axis=0))
 
     def test_topology_is_shared_and_read_only(self):
         a = local_rows(make_grid([[0.0, 1.0, 3.0], [0.0, 2.0]]), FunctionClass.INCREASING)

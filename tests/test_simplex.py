@@ -70,13 +70,39 @@ class TestKnownPrograms:
         assert res.ok and res.fun == 0.0
 
 
+class TestPhaseOneExit:
+    """The two ways phase 1 can leave an artificial basic at value 0."""
+
+    @staticmethod
+    def _check(c, a_eq, b_eq):
+        mine = solve_lp(c, a_eq=a_eq, b_eq=b_eq)
+        ref = linprog(c, A_eq=a_eq, b_eq=b_eq, method="highs")
+        assert ref.status == 0 and mine.fun == pytest.approx(ref.fun, abs=1e-12)
+        return mine
+
+    def test_zero_artificial_driven_out(self):
+        # after one degenerate pivot the second row's artificial is basic
+        # at 0 with a nonzero structural entry, so it is pivoted out
+        res = self._check([1, -1], [[1, 1], [1, -1]], [0, 0])
+        assert res.ok and res.fun == 0.0
+        assert (res.phase1_pivots, res.phase2_pivots, res.degenerate_pivots, res.bland_pivots) == (1, 0, 1, 0)
+
+    def test_redundant_row_dropped(self):
+        # the second row is twice the first: its artificial stays basic at
+        # 0 with no structural entry left, so the row is dropped
+        res = self._check([1, 2], [[1, 1], [2, 2]], [1, 2])
+        assert res.ok and res.fun == 1.0
+        np.testing.assert_array_equal(res.x, [1.0, 0.0])
+        assert (res.phase1_pivots, res.phase2_pivots, res.degenerate_pivots, res.bland_pivots) == (1, 0, 0, 0)
+
+
 class TestPricing:
     def test_beale_cycling_program(self):
-        for max_iter in (None, 1000):
-            res = solve_lp(**BEALE, max_iter=max_iter)
-            assert res.ok and res.fun == pytest.approx(-1.25, abs=1e-12)
-            # the cycle is detected by a repeated basis and broken by Bland
-            assert res.bland_pivots > 0 and res.degenerate_pivots > 0
+        res = solve_lp(**BEALE)
+        assert res.ok and res.fun == pytest.approx(-1.25, abs=1e-12)
+        assert res.phase1_pivots + res.phase2_pivots < 1000
+        # the cycle is detected by a repeated basis and broken by Bland
+        assert res.bland_pivots > 0 and res.degenerate_pivots > 0
 
     def test_pivot_counts(self):
         res = solve_lp([-1.0, -1.0], a_ub=[[1, 2], [3, 1]], b_ub=[4, 6])
@@ -123,6 +149,45 @@ def _random_program(rng):
     return c, a_ub, b_ub, a_eq, b_eq, bounds
 
 
+def _equality_program(rng):
+    """Like ``_random_program``, but with 1-3 equality rows, sometimes a
+    scaled duplicate row or a zero right-hand side, and upper-only bounds."""
+    n = int(rng.integers(1, 6))
+    m = int(rng.integers(0, 5))
+    c = rng.normal(size=n)
+    a_ub = rng.normal(size=(m, n))
+    b_ub = rng.normal(size=m) + 1.0
+    bounds = []
+    for _ in range(n):
+        kind = rng.integers(5)
+        lo, hi = float(rng.uniform(-2, 0)), float(rng.uniform(0.5, 3))
+        bounds.append([(0.0, None), (0.0, hi), (None, None), (lo, hi), (None, hi - 1.0)][kind])
+    k = int(rng.integers(1, 4))
+    a_eq = rng.normal(size=(k, n))
+    b_eq = rng.normal(size=k) * 0.5
+    if rng.random() < 0.25:
+        b_eq[:] = 0.0
+    if k > 1 and rng.random() < 0.25:
+        scale = float(rng.uniform(-3, 3))
+        a_eq[-1], b_eq[-1] = scale * a_eq[0], scale * b_eq[0]
+    return c, a_ub, b_ub, a_eq, b_eq, bounds
+
+
+def _highs_status(c, a_ub, b_ub, a_eq, b_eq, bounds):
+    """HiGHS's status and optimum.  HiGHS calls some unbounded programs
+    infeasible; a program it calls infeasible is re-solved with a zero
+    objective, and if that finds a point it was unbounded."""
+    ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+    if status == "infeasible":
+        zero = linprog(
+            np.zeros_like(c), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs"
+        )
+        if zero.status == 0:
+            status = "unbounded"
+    return status, ref.fun
+
+
 class TestAgainstScipy:
     def test_random_sweep(self):
         rng = np.random.default_rng(2024)
@@ -139,6 +204,20 @@ class TestAgainstScipy:
                 assert mine.fun == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
             statuses[mine.status] += 1
         # the sweep must actually exercise all three outcomes
+        assert all(v > 0 for v in statuses.values()), statuses
+
+    def test_equality_sweep(self):
+        # at seed 99, draw 385 is an unbounded program HiGHS calls infeasible
+        rng = np.random.default_rng(99)
+        statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+        for _ in range(400):
+            program = _equality_program(rng)
+            mine = solve_lp(*program)
+            ref_status, ref_fun = _highs_status(*program)
+            assert mine.status == ref_status
+            if mine.ok:
+                assert mine.fun == pytest.approx(ref_fun, abs=1e-7, rel=1e-7)
+            statuses[mine.status] += 1
         assert all(v > 0 for v in statuses.values()), statuses
 
     def test_cone_style_programs(self):
