@@ -124,7 +124,9 @@ def verify_theorem(case: TheoremCase, premise_tol: float = MEMBERSHIP_TOL) -> Ve
             reasons.append("dominance premise fails")
         elif dom.verdict == "inconclusive":
             reasons.append(f"dominance premise inconclusive ({dom.reason})")
-        if not mem.member:
+        if mem.reason:
+            reasons.append(f"membership premise inconclusive ({mem.reason})")
+        elif not mem.member:
             reasons.append(f"membership premise fails ({mem.witness})")
         return VerificationReport(
             case.theorem_id, dom, mem.member, None, None, None, True, "; ".join(reasons)

@@ -20,17 +20,19 @@ every call.
 
 Joint convexity is tested as extendability to a convex function on R^K:
 a subgradient must exist at every node.  Its cone is the list of ordered
-node pairs from ``convex_pairs``, read by the subgradient membership LPs
+node pairs from ``convex_pairs``, read by the membership test (difference
+quotients as candidate subgradients, an LP per node only where none holds)
 and the dominance LP.  Composite classes are conjunctions.
 """
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -288,38 +290,82 @@ class Witness:
 
 @dataclass(frozen=True)
 class MembershipResult:
+    """``reason`` names the LP status when a subgradient LP failed; the
+    witness of that node then has margin ``-inf``."""
+
     member: bool
     function_class: FunctionClass
     witness: Witness | None
     tol: float
+    reason: str | None = None
 
     def __bool__(self) -> bool:
         return self.member
 
 
-def _subgradient_margin(u: TabulatedUtility, i: int, pairs: tuple[np.ndarray, ...]) -> float:
-    """Best achievable max-violation of the subgradient inequalities at node i.
+def _difference_quotients(u: TabulatedUtility) -> Iterator[tuple[np.ndarray, ...]]:
+    """Candidate subgradients, each one (n, K) array: on every axis, the
+    forward or the backward difference quotient at each node (the one that
+    exists at an end of the axis, 0 on an axis of length 1), in every
+    combination over the axes."""
+    grid = u.grid
+    values = u.values_array.reshape(grid.shape)
+    options = []
+    for k, axis in enumerate(grid.axes):
+        if len(axis) == 1:
+            options.append((np.zeros(grid.size),))
+            continue
+        shape = [1] * grid.ndim
+        shape[k] = -1
+        slopes = np.diff(values, axis=k) / np.diff(axis).reshape(shape)
+        first, last = np.take(slopes, [0], axis=k), np.take(slopes, [-1], axis=k)
+        forward = np.concatenate([slopes, last], axis=k).reshape(-1)
+        backward = np.concatenate([first, slopes], axis=k).reshape(-1)
+        options.append((forward, backward))
+    return itertools.product(*options)
 
-    Solves min v s.t. g . (x_j - x_i) - (u_j - u_i) <= v for all j, with v
-    floored at -1 to keep the program bounded.  A value <= 0 means an exact
-    subgradient exists; small positive values measure how far node i sits
-    above every supporting hyperplane.  ``pairs`` is ``convex_pairs(u.grid)``.
-    """
-    _, j, diff = pairs
-    n = u.grid.size
-    rows = slice(i * (n - 1), (i + 1) * (n - 1))
+
+def _supports(d: np.ndarray, delta: np.ndarray, g: np.ndarray, tol: float) -> np.ndarray:
+    """Whether ``g`` (one row per node, or one row for all) is a subgradient
+    within ``tol`` at each node: ``max_j (g . d_j - delta_j) <= tol``."""
+    g = np.broadcast_to(g, (d.shape[0], d.shape[2]))
+    gaps = np.einsum("ijk,ik->ij", d, g) - delta
+    return gaps.max(axis=1, initial=-np.inf) <= tol
+
+
+def _convex_membership(u: TabulatedUtility, tol: float) -> MembershipResult:
+    """Certify every node by an explicit subgradient; solve the node's LP
+    only where no candidate holds."""
+    grid = u.grid
+    n, k = grid.size, grid.ndim
+    _, j, diff = convex_pairs(grid)
     vals = u.values_array
-    d = diff[rows]
-    delta = vals[j[rows]] - vals[i]
-    k = u.grid.ndim
-    a_ub = np.hstack([d, -np.ones((d.shape[0], 1))])
-    c = np.zeros(k + 1)
-    c[-1] = 1.0
-    bounds = [(None, None)] * k + [(-1.0, None)]
-    res = solve_lp(c, a_ub=a_ub, b_ub=delta, bounds=bounds)
-    if not res.ok:  # cannot happen for well-posed data; treat as failure
-        return math.inf
-    return float(res.fun)
+    d = diff.reshape(n, n - 1, k)
+    delta = vals[j].reshape(n, n - 1) - vals[:, None]
+    certified = np.zeros(n, dtype=bool)
+    for choice in _difference_quotients(u):
+        certified |= _supports(d, delta, np.stack(choice, axis=1), tol)
+        if certified.all():
+            break
+    for i in range(n):
+        if certified[i]:
+            continue
+        # min v s.t. g . (x_j - x_i) - (u_j - u_i) <= v for all j, with v
+        # floored at -1 to keep the program bounded
+        a_ub = np.hstack([d[i], -np.ones((n - 1, 1))])
+        c = np.zeros(k + 1)
+        c[-1] = 1.0
+        bounds = [(None, None)] * k + [(-1.0, None)]
+        res = solve_lp(c, a_ub=a_ub, b_ub=delta[i], bounds=bounds)
+        if not res.ok or res.fun > tol:
+            margin = -float(res.fun) if res.ok else -math.inf
+            reason = None if res.ok else f"LP status: {res.status}"
+            witness = Witness("subgradient", (grid.node(i),), margin)
+            return MembershipResult(False, FunctionClass.CONVEX, witness, tol, reason)
+        # nodes in one affine piece share this subgradient
+        rest = i + 1 + np.flatnonzero(~certified[i + 1 :])
+        certified[rest] = _supports(d[rest], delta[rest], res.x[:k], tol)
+    return MembershipResult(True, FunctionClass.CONVEX, None, tol)
 
 
 def is_member(
@@ -332,19 +378,24 @@ def is_member(
     Local classes evaluate every row of the class's ``ConeMatrix`` at once;
     the witness is the first row with slack below ``-tol``, so families are
     checked in class order (increasing, supermodular, componentwise convex)
-    and rows within a family in C node order.  The convex class solves one
-    subgradient LP per node, in node order.
+    and rows within a family in C node order.
+
+    The convex class needs a subgradient g at every node i with
+    ``max_j (g . (x_j - x_i) - (u_j - u_i)) <= tol``.  Each node first
+    tries the one-sided difference quotients on every axis (2^K
+    combinations), summed directly.  Nodes that none certifies are walked
+    in C order, each solving the subgradient LP min_g max(that maximum,
+    -1); an optimum above ``tol`` is the witness, with margin ``-v*``, and
+    otherwise the LP's subgradient becomes a candidate for every later
+    node.  A candidate only certifies a node whose LP optimum is at most
+    ``tol``, so the first failing node and its margin are those of one LP
+    per node.  A failed LP ends the test as a non-member with margin
+    ``-inf`` and ``reason`` naming the LP status.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if function_class is FunctionClass.CONVEX:
-        pairs = convex_pairs(u.grid)
-        for i in range(u.grid.size):
-            v_star = _subgradient_margin(u, i, pairs)
-            if v_star > tol:
-                witness = Witness("subgradient", (u.grid.node(i),), -v_star)
-                return MembershipResult(False, function_class, witness, tol)
-        return MembershipResult(True, function_class, None, tol)
+        return _convex_membership(u, tol)
     cone = local_rows(u.grid, function_class)
     margins = cone.margins(u.values_array)
     violated = np.flatnonzero(margins < -tol)

@@ -6,14 +6,20 @@ dimension pair), exactly as the package did before the cone matrix was
 built by index arithmetic.  The property tests compare the vectorized
 ``ConeMatrix``, its membership witness and the dominance LP's constraint
 matrix against these rows bit for bit.
+
+``oracle_convex_membership`` is the convex membership test as one
+subgradient LP per node, before candidate subgradients certified most
+nodes without an LP.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from mcsearch.utility import _FAMILIES, FunctionClass
+from mcsearch.simplex import solve_lp
+from mcsearch.utility import _FAMILIES, FunctionClass, MembershipResult, Witness, convex_pairs
 
 
 @dataclass(frozen=True)
@@ -157,3 +163,28 @@ def oracle_convex_program(grid) -> np.ndarray:
             row[n + i * k : n + (i + 1) * k] = nodes[j] - nodes[i]
             rows.append(row)
     return np.stack(rows)
+
+
+def oracle_convex_membership(u, tol: float) -> MembershipResult:
+    """Solve min v s.t. g . (x_j - x_i) - (u_j - u_i) <= v for all j, v >= -1,
+    at every node i in C order; the first optimum above ``tol`` is the
+    witness, with margin ``-v*``."""
+    grid = u.grid
+    n, k = grid.size, grid.ndim
+    _, j, diff = convex_pairs(grid)
+    vals = u.values_array
+    for i in range(n):
+        rows = slice(i * (n - 1), (i + 1) * (n - 1))
+        d = diff[rows]
+        delta = vals[j[rows]] - vals[i]
+        a_ub = np.hstack([d, -np.ones((d.shape[0], 1))])
+        c = np.zeros(k + 1)
+        c[-1] = 1.0
+        bounds = [(None, None)] * k + [(-1.0, None)]
+        res = solve_lp(c, a_ub=a_ub, b_ub=delta, bounds=bounds)
+        v_star = float(res.fun) if res.ok else math.inf
+        if v_star > tol:
+            reason = None if res.ok else f"LP status: {res.status}"
+            witness = Witness("subgradient", (grid.node(i),), -v_star)
+            return MembershipResult(False, FunctionClass.CONVEX, witness, tol, reason)
+    return MembershipResult(True, FunctionClass.CONVEX, None, tol)

@@ -18,6 +18,7 @@ from mcsearch.utility import _FAMILIES, MEMBERSHIP_TOL, _family_topology, convex
 from cone_oracle import (
     ROW_BUILDERS,
     oracle_a_ub,
+    oracle_convex_membership,
     oracle_convex_program,
     oracle_rows,
     oracle_witness,
@@ -131,6 +132,34 @@ class TestConeMatrix:
             assert (i[rows] == node).all()
             assert np.array_equal(j[rows], np.delete(np.arange(n), node))
             assert _bits(diff[rows]) == _bits(np.delete(nodes - nodes[node], node, axis=0))
+
+    @PROPERTY
+    @given(
+        grid=grids(
+            st.one_of(
+                st.tuples(st.integers(1, 8)),
+                st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                st.sampled_from([(3, 3, 3), (2, 2, 2, 2)]),
+            )
+        ),
+        noise=st.sampled_from([0.0, 1e-9, 1e-4, None]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_convex_membership_matches_per_node_lps(self, grid, noise, seed):
+        """Members, members with noise at and above the tolerance, and
+        random non-members (``noise`` None) get the verdict and witness of
+        one subgradient LP per node, the margin bit for bit."""
+        rng = np.random.default_rng(seed)
+        if noise is None:
+            u = tabulate(grid, rng.normal(size=grid.size))
+        else:
+            member = random_member(FunctionClass.CONVEX, grid, rng)
+            u = tabulate(grid, member.values_array + rng.uniform(-noise, noise, grid.size))
+        res = is_member(u, FunctionClass.CONVEX)
+        want = oracle_convex_membership(u, MEMBERSHIP_TOL)
+        assert res == want
+        if want.witness is not None:
+            assert _bits(np.array(res.witness.margin)) == _bits(np.array(want.witness.margin))
 
     def test_topology_is_shared_and_read_only(self):
         a = local_rows(make_grid([[0.0, 1.0, 3.0], [0.0, 2.0]]), FunctionClass.INCREASING)

@@ -1,5 +1,8 @@
+from unittest import mock
+
 import pytest
 
+import mcsearch.utility as utility_module
 from mcsearch import (
     FunctionClass,
     SearchParams,
@@ -19,6 +22,7 @@ from mcsearch import (
     truncation_counterexample,
     verify_theorem,
 )
+from mcsearch.simplex import LpResult
 from mcsearch.statics import NOT_CLOSED, THEOREM_CLASS
 
 ALL_THEOREMS = list(THEOREM_CLASS)
@@ -73,6 +77,19 @@ class TestVerifyTheorem:
         # the counterexample is supermodular but not increasing
         rep = verify_theorem(TheoremCase("T3", f, g, counterexample, SearchParams(0.5, 1.0)))
         assert rep.vacuous and "membership premise fails" in rep.reason
+
+    def test_failed_membership_lp_names_its_status(self):
+        grid = make_grid([[0.0, 1.0, 2.0], [0.0, 1.0]])
+        g = make_pmf(grid, [0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+        f = make_pmf(grid, [0.5, 0.0, 0.0, 0.0, 0.5, 0.0])  # a spread of g
+        # max(x1, x2) is convex; no difference quotient certifies (0, 0)
+        u = tabulate_family("custom", grid, values=[0.0, 1.0, 1.0, 1.0, 2.0, 2.0])
+        failed = LpResult("numerical", None, None)
+        with mock.patch.object(utility_module, "solve_lp", lambda *a, **k: failed):
+            rep = verify_theorem(TheoremCase("T2b", f, g, u, SearchParams(0.5, 0.5)))
+        assert rep.premise_dominance.verdict == "dominates"
+        assert rep.vacuous
+        assert rep.reason == "membership premise inconclusive (LP status: numerical)"
 
     def test_tolerance_slack_cannot_hide_a_conclusion_failure(self):
         # dominance holds only within tolerance slack while the conclusion

@@ -1,8 +1,10 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import mcsearch.utility as utility_module
 from mcsearch import (
     FunctionClass,
     affine_transform,
@@ -14,6 +16,7 @@ from mcsearch import (
     tabulate_family,
     truncate,
 )
+from mcsearch.simplex import LpResult
 from conftest import random_grid
 
 ALL_CLASSES = list(FunctionClass)
@@ -151,6 +154,46 @@ class TestMembership:
     def test_rejects_nonpositive_tol(self, counterexample):
         with pytest.raises(ValueError, match="tol"):
             is_member(counterexample, FunctionClass.SUPERMODULAR, tol=0.0)
+
+
+class TestConvexMembership:
+    """The convex class: candidate subgradients first, an LP per node only
+    where none certifies."""
+
+    def test_single_node_grid_is_member(self):
+        u = tabulate(make_grid([[0.0]]), [0.0])
+        assert is_member(u, FunctionClass.CONVEX).member
+
+    def test_flat_axis_peak_is_not_member(self):
+        u = tabulate(make_grid([[0.0], [0.0, 1.0, 2.0]]), [0.0, 1.0, 0.0])
+        res = is_member(u, FunctionClass.CONVEX)
+        assert not res.member and res.reason is None
+        assert res.witness.constraint == "subgradient"
+        assert res.witness.nodes == ((0.0, 1.0),)
+        assert res.witness.margin == -1.0
+
+    def test_flat_second_axis_is_member(self):
+        u = tabulate(make_grid([[0.0, 1.0], [0.0]]), [0.0, 1.0])
+        assert is_member(u, FunctionClass.CONVEX).member
+
+    def test_linear_5x5_needs_no_lp(self):
+        grid = make_grid([[0.0, 0.5, 1.7, 2.0, 3.1], [-1.0, 0.2, 0.9, 1.5, 2.8]])
+        u = tabulate_family("linear", grid, a=[0.7, -1.3])
+        with mock.patch.object(utility_module, "solve_lp", wraps=utility_module.solve_lp) as lp:
+            assert is_member(u, FunctionClass.CONVEX).member
+        assert lp.call_count == 0
+
+    def test_failed_lp_names_its_status(self):
+        # max(x1, x2): no difference quotient certifies (0, 0), so its LP runs
+        u = tabulate(make_grid([[0.0, 1.0], [0.0, 1.0]]), [0.0, 1.0, 1.0, 1.0])
+        assert is_member(u, FunctionClass.CONVEX).member
+        failed = LpResult("numerical", None, None)
+        with mock.patch.object(utility_module, "solve_lp", lambda *a, **k: failed):
+            res = is_member(u, FunctionClass.CONVEX)
+        assert not res.member
+        assert res.reason == "LP status: numerical"
+        assert res.witness.nodes == ((0.0, 0.0),)
+        assert res.witness.margin == -np.inf
 
 
 class TestOperators:
