@@ -227,18 +227,67 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(int(k) for k in key)))
 
 
+class OfferSampler:
+    """Draws node indices from a probability vector ``p`` bit for bit as
+    ``rng.choice(p.size, size, p=p)`` does, without its per-call work.
+
+    ``choice`` checks ``p``, rebuilds the normalized CDF and binary-searches
+    it for every uniform from ``rng.random``.  Here the CDF is built once,
+    the same way (``p.cumsum()`` divided by its last entry), and each
+    uniform ``r`` is looked up in a guide table of ``M`` equal buckets
+    (Chen & Asau 1974; Devroye 1986, III.2.4).  ``M`` is a power of two of
+    at least 16 buckets per node, so ``r * M`` is exact and its integer part
+    names r's bucket.  A bucket with no CDF value strictly inside it sends
+    every uniform to the index ``cdf.searchsorted(r, side="right")`` gives
+    for all of them; uniforms in the other buckets are searched as
+    ``choice`` searches them.  The stream consumed is the same, so the draws
+    are too.  ``p`` must be what ``choice`` accepts; a ``Pmf`` guarantees
+    it (nonnegative, finite, summing to 1 within ``MASS_TOL``).
+
+    ``draw`` works in buffers of length ``capacity`` allocated once and
+    returns a view that the next draw overwrites.
+    """
+
+    def __init__(self, p: np.ndarray, capacity: int) -> None:
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        self._buckets = 1 << (16 * p.size - 1).bit_length()
+        # scaling by a power of two is exact, so comparisons against the
+        # scaled CDF order every uniform exactly as against the CDF
+        self._scaled_cdf = cdf * self._buckets
+        edges = np.arange(self._buckets + 1, dtype=float)
+        self._first = self._scaled_cdf.searchsorted(edges[:-1], side="right")
+        self._split = self._first != self._scaled_cdf.searchsorted(edges[1:], side="left")
+        self._uniform = np.empty(capacity)
+        self._bucket = np.empty(capacity, dtype=np.intp)
+        self._index = np.empty(capacity, dtype=np.intp)
+        self._searched = np.empty(capacity, dtype=bool)
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """The next ``size`` indices (``size <= capacity``) from ``rng``."""
+        scaled = rng.random(out=self._uniform[:size])
+        scaled *= self._buckets
+        bucket = self._bucket[:size]
+        np.copyto(bucket, scaled, casting="unsafe")  # truncation: scaled >= 0
+        # every bucket is a valid index; mode "raise" would copy ``out``
+        index = np.take(self._first, bucket, out=self._index[:size], mode="clip")
+        searched = np.take(self._split, bucket, out=self._searched[:size], mode="clip")
+        if searched.any():
+            index[searched] = self._scaled_cdf.searchsorted(scaled[searched], side="right")
+        return index
+
+
 def sample_offers(pmf: Pmf, seed: int, n: int) -> list[tuple[float, ...]]:
     """Draw ``n`` i.i.d. offers from the pmf.
 
     The stream comes from numpy's seeded PCG64 generator, so draws are
-    bit-reproducible for a fixed seed.  Sampling renormalizes the masses by
-    their exact float sum (bounded by ``MASS_TOL``) to present a valid
-    probability vector to the generator.
+    bit-reproducible for a fixed seed; they equal ``rng.choice`` on the
+    renormalized masses (see ``OfferSampler``).  Sampling renormalizes the
+    masses by their exact float sum (bounded by ``MASS_TOL``).
     """
     if n < 1:
         raise ValueError("need at least one draw")
+    n = int(n)
     rng = np.random.default_rng(int(seed))
-    p = pmf.mass_array / pmf.mass_array.sum()
-    idx = rng.choice(pmf.grid.size, size=int(n), p=p)
-    nodes = pmf.grid.nodes
-    return [tuple(float(c) for c in nodes[i]) for i in idx]
+    idx = OfferSampler(pmf.mass_array / pmf.mass_array.sum(), n).draw(rng, n)
+    return list(map(tuple, pmf.grid.nodes[idx].tolist()))

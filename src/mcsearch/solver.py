@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .grids import Pmf, SearchParams
+from .grids import OfferSampler, Pmf, SearchParams
 from .utility import TabulatedUtility, tabulate
 
 #: Hard cap on contraction iterations before the solver reports a defect.
@@ -56,14 +57,23 @@ def continuation_map(
     _check_same_grid(pmf, u)
     if not math.isfinite(u_candidate):
         raise ValueError(f"candidate must be finite, got {u_candidate!r}")
-    return _psi(u_candidate, pmf, u, params)
+    return _continuation(pmf, u, params)(u_candidate)
 
 
-def _psi(t: float, pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> float:
-    """``continuation_map`` without its argument checks: the solvers check
-    the grids once per solve and only ever pass finite candidates."""
-    expected = float(np.dot(pmf.mass_array, np.maximum(u.values_array, t)))
-    return (1.0 - params.beta) * params.gamma + params.beta * expected
+def _continuation(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> Callable[[float], float]:
+    """``continuation_map`` for one solve, without its argument checks: the
+    solvers check the grids once per solve and only ever pass finite
+    candidates.  max(U, t) goes to one buffer reused by every call."""
+    flow = (1.0 - params.beta) * params.gamma
+    beta = params.beta
+    vals = u.values_array
+    dot = pmf.mass_array.dot
+    buf = np.empty_like(vals)
+
+    def psi(t: float) -> float:
+        return flow + beta * float(dot(np.maximum(vals, t, out=buf)))
+
+    return psi
 
 
 def _check_same_grid(pmf: Pmf, u: TabulatedUtility) -> None:
@@ -85,15 +95,16 @@ def solve_fixed_point(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> tu
     residual below the tolerance.
     """
     _check_same_grid(pmf, u)
+    psi = _continuation(pmf, u, params)
     beta, tol = params.beta, params.tol
     stop = 0.5 * tol * (1.0 - beta) / beta
     t = params.gamma
     for it in range(1, MAX_ITERATIONS + 1):
-        t_next = _psi(t, pmf, u, params)
+        t_next = psi(t)
         if abs(t_next - t) <= stop:
             return t_next, it
         t = t_next
-    defect = abs(_psi(t, pmf, u, params) - t)
+    defect = abs(psi(t) - t)
     raise ConvergenceError(
         f"fixed-point iteration did not converge in {MAX_ITERATIONS} steps "
         f"(last step {defect:.3e}, required {stop:.3e}); check beta/tol"
@@ -108,6 +119,7 @@ def solve_bisection(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> tupl
     bracket has shrunk to two adjacent floats.
     """
     _check_same_grid(pmf, u)
+    psi = _continuation(pmf, u, params)
     beta, gamma, tol = params.beta, params.gamma, params.tol
     vals = u.values_array
     lo = min(gamma, float(vals.min()))
@@ -123,7 +135,7 @@ def solve_bisection(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> tupl
             raise ConvergenceError(
                 f"bisection did not reach width {width_stop:.3e} in {MAX_ITERATIONS} steps"
             )
-        if mid - _psi(mid, pmf, u, params) < 0.0:
+        if mid - psi(mid) < 0.0:
             lo = mid
         else:
             hi = mid
@@ -149,11 +161,7 @@ def reservation_utility(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> 
     if abs(residual) > params.tol:
         raise ConvergenceError(f"equation residual {residual:.3e} exceeds tol {params.tol:.3e}")
     value = tabulate(pmf.grid, np.maximum(u.values_array, u_f) / (1.0 - params.beta))
-    accept = frozenset(
-        pmf.grid.node(i)
-        for i in range(pmf.grid.size)
-        if u.values[i] >= u_f - params.tol
-    )
+    accept = frozenset(map(tuple, pmf.grid.nodes[u.values_array >= u_f - params.tol].tolist()))
     return Solution(u_f, value, accept, residual, it_fp + it_bi)
 
 
@@ -195,8 +203,10 @@ def simulate_search(
 
     Each episode draws offers until acceptance or the documented horizon and
     realizes sum_{t<T} beta^t gamma + beta^T U(w_T)/(1-beta).  Offers come
-    from a single seeded PCG64 stream consumed in episode-major order, so
-    results are bit-reproducible for a fixed seed.
+    from a single seeded PCG64 stream consumed period by period: each period
+    draws one offer for every episode still searching, in episode order,
+    through ``OfferSampler`` (the draws of ``rng.choice``), so results are
+    bit-reproducible for a fixed seed.
     """
     if episodes < 1:
         raise ValueError("need at least one episode")
@@ -206,20 +216,28 @@ def simulate_search(
     beta, gamma = params.beta, params.gamma
     horizon = simulation_horizon(u, params)
     rng = np.random.default_rng(int(seed))
-    p = pmf.mass_array / pmf.mass_array.sum()
+    sampler = OfferSampler(pmf.mass_array / pmf.mass_array.sum(), episodes)
     vals = u.values_array
 
     realized = np.empty(episodes)
     alive = np.arange(episodes)
+    offer_buf = np.empty(episodes)
+    take_buf = np.empty(episodes, dtype=bool)
     # discounted value of t periods of unemployment flow
     flow = gamma * (1.0 - beta ** np.arange(horizon + 1)) / (1.0 - beta)
     accepted = 0
     for t in range(horizon):
-        draws = rng.choice(p.size, size=alive.size, p=p)
-        offers = vals[draws]
-        take = offers >= threshold
+        searching = alive.size
+        # every draw is a node index; mode "raise" would copy ``out``
+        offers = np.take(vals, sampler.draw(rng, searching), out=offer_buf[:searching], mode="clip")
+        take = np.greater_equal(offers, threshold, out=take_buf[:searching])
         idx = alive[take]
-        realized[idx] = flow[t] + beta**t * offers[take] / (1.0 - beta)
+        # flow[t] + beta**t * offer / (1 - beta), operation for operation
+        gain = offers[take]
+        gain *= beta**t
+        gain /= 1.0 - beta
+        gain += flow[t]
+        realized[idx] = gain
         accepted += idx.size
         alive = alive[~take]
         if alive.size == 0:

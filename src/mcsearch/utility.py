@@ -108,7 +108,7 @@ class TabulatedUtility:
 
 def tabulate(grid: Grid, values: Sequence[float]) -> TabulatedUtility:
     arr = np.asarray(values, dtype=float).reshape(-1)
-    return TabulatedUtility(grid, tuple(float(v) for v in arr))
+    return TabulatedUtility(grid, tuple(arr.tolist()))
 
 
 def tabulate_family(

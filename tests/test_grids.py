@@ -18,6 +18,7 @@ from mcsearch import (
     tabulate,
     tabulate_family,
 )
+from mcsearch.grids import OfferSampler
 from conftest import random_grid, random_pmf
 
 
@@ -233,6 +234,53 @@ class TestSampling:
         pmf = make_pmf(unit_square, [0.25] * 4)
         with pytest.raises(ValueError):
             sample_offers(pmf, 0, 0)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [0.0, 0.3, 0.0, 0.0, 0.7, 0.0],  # zero-mass nodes, trailing zero
+            [1.0],  # one-node grid
+            [1e-12, 1.0 - 1e-9, 1e-9 - 1e-12],
+            [1.0 - 1e-9, 1e-12, 0.0, 1e-9 - 1e-12],
+            [1.0 / 900] * 900,
+        ],
+        ids=["zeros", "one-node", "tiny-first", "tiny-middle", "uniform-900"],
+    )
+    @pytest.mark.parametrize("size", [1, 2, 100_000])
+    def test_sampler_is_rng_choice(self, weights, size):
+        p = np.asarray(weights)
+        p = p / p.sum()
+        for seed in (0, 5):
+            want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            sampler = OfferSampler(p, size + 3)
+            for _ in range(3):  # the buffers are reused draw after draw
+                want = want_rng.choice(p.size, size, p=p)
+                got = sampler.draw(got_rng, size)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got_rng.random() == want_rng.random()  # same stream consumed
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        n=st.integers(1, 60),
+        zeros=st.floats(0.0, 0.9),
+        size=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sampler_matches_rng_choice_on_random_pmfs(self, n, zeros, size, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.dirichlet(np.ones(n)) * (rng.random(n) >= zeros)
+        w[rng.integers(n)] += 0.5
+        p = np.asarray(normalize_weights(w))
+        want = np.random.default_rng(seed).choice(n, size, p=p)
+        assert np.array_equal(OfferSampler(p, size).draw(np.random.default_rng(seed), size), want)
+
+    def test_sample_offers_are_rng_choice_nodes(self):
+        g = make_grid([[0.0, 1.5, 2.0], [-1.0, 4.0]])
+        pmf = make_pmf(g, [0.1, 0.0, 0.25, 0.3, 0.0, 0.35])
+        idx = np.random.default_rng(11).choice(g.size, 500, p=pmf.mass_array / pmf.mass_array.sum())
+        draws = sample_offers(pmf, seed=11, n=500)
+        assert draws == [g.node(i) for i in idx]
+        assert all(type(c) is float for d in draws for c in d)
 
     def test_derive_rng_split(self):
         a = derive_rng(9, 0).normal(size=3)

@@ -11,6 +11,7 @@ from mcsearch import (
     equation_residual,
     make_grid,
     make_pmf,
+    normalize_weights,
     reservation_utility,
     simulate_search,
     solve_bisection,
@@ -20,6 +21,16 @@ from mcsearch import (
     value_function,
 )
 from conftest import random_grid, random_pmf
+from simulation_oracle import oracle_simulate_search
+
+
+def bisection_reproducer():
+    """Product utility on {1..30}^2, uniform pmf, beta 0.999: the root is
+    about 774.5, where the float spacing exceeds tol * (1 - beta)."""
+    axis = [float(v) for v in range(1, 31)]
+    grid = make_grid([axis, axis])
+    pmf = make_pmf(grid, np.full(grid.size, 1.0 / grid.size))
+    return pmf, tabulate_family("product", grid), SearchParams(0.999, 1.0, 1e-10)
 
 
 def degenerate(c, beta, gamma):
@@ -85,6 +96,32 @@ class TestContinuationMap:
             t = t_next
         assert solve_fixed_point(pmf, u, p) == (t_next, steps)
 
+    def test_bisection_steps_are_continuation_map(self, two_point):
+        def bisect(pmf, u, p):
+            lo = min(p.gamma, min(u.values))
+            hi = max(p.gamma, max(u.values)) + p.gamma * p.beta / (1.0 - p.beta)
+            steps = 0
+            while hi - lo > p.tol * (1.0 - p.beta):
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break
+                steps += 1
+                if mid - continuation_map(mid, pmf, u, p) < 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi), steps
+
+        grid = make_grid([[0.0, 1.0, 2.5], [1.0, 3.0]])
+        pmf = make_pmf(grid, [0.1, 0.2, 0.3, 0.15, 0.05, 0.2])
+        cases = [
+            two_point[1:],
+            (pmf, tabulate_family("product", grid), SearchParams(0.95, 0.7)),
+            bisection_reproducer(),  # stops at float resolution
+        ]
+        for case in cases:
+            assert solve_bisection(*case) == bisect(*case)
+
 
 class TestClosedForms:
     def test_degenerate_high_offer(self):
@@ -121,6 +158,24 @@ class TestClosedForms:
             assert sol.value.values[i] == pytest.approx(expected, abs=1e-12)
         assert sol.acceptance == frozenset({(2.0,)})
         assert sol.iterations > 0
+
+    def test_assembly_is_per_node(self):
+        # acceptance and value hold the Python floats the node loop gives
+        rng = np.random.default_rng(17)
+        for shape in ((4,), (3, 3), (2, 3, 2)):
+            grid = random_grid(rng, shape)
+            pmf = random_pmf(grid, rng)
+            u = tabulate(grid, rng.uniform(-1.0, 3.0, size=grid.size))
+            p = SearchParams(0.5, 0.05)
+            sol = reservation_utility(pmf, u, p)
+            cut = sol.reservation_utility - p.tol
+            assert sol.acceptance == frozenset(
+                grid.node(i) for i in range(grid.size) if u.values[i] >= cut
+            )
+            assert sol.acceptance
+            for node in sol.acceptance:
+                assert type(node) is tuple and all(type(c) is float for c in node)
+            assert all(type(v) is float for v in sol.value.values)
 
     def test_value_function(self, two_point):
         _, pmf, u, p = two_point
@@ -188,11 +243,7 @@ class TestSolverAgreement:
         """At u_F ~ 774.5 the float spacing exceeds the width tol*(1-beta) =
         1e-13: bisection stops once the bracket is two adjacent floats, and
         the solve fails on the equation residual instead."""
-        axis = [float(v) for v in range(1, 31)]
-        grid = make_grid([axis, axis])
-        pmf = make_pmf(grid, np.full(grid.size, 1.0 / grid.size))
-        u = tabulate_family("product", grid)
-        p = SearchParams(0.999, 1.0, 1e-10)
+        pmf, u, p = bisection_reproducer()
         t_bi, iterations = solve_bisection(pmf, u, p)
         assert iterations < 100
         t_fp, _ = solve_fixed_point(pmf, u, p)
@@ -249,3 +300,33 @@ class TestSimulation:
             simulate_search(pmf, u, p, 1.0, seed=0, episodes=0)
         with pytest.raises(ValueError, match="finite"):
             simulate_search(pmf, u, p, float("nan"), seed=0, episodes=10)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        shape=st.sampled_from([(1,), (5,), (2, 3), (3, 3), (2, 2, 3)]),
+        beta=st.floats(0.5, 0.9999),
+        where=st.sampled_from(["below", "above", "tie", "inside"]),
+        horizon=st.integers(1, 300),
+        episodes=st.sampled_from([1, 2, 1000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_choice_loop(self, shape, beta, where, horizon, episodes, seed):
+        rng = np.random.default_rng(seed)
+        grid = random_grid(rng, shape)
+        w = rng.dirichlet(np.ones(grid.size)) * (rng.random(grid.size) < 0.7)
+        w[rng.integers(grid.size)] += 0.3  # some zero masses, never all
+        pmf = make_pmf(grid, normalize_weights(w))
+        u = tabulate(grid, rng.normal(0, 2, size=grid.size))
+        lo, hi = min(u.values), max(u.values)
+        threshold = {
+            "below": lo - 1.0,
+            "above": hi + 1.0,  # never accepts: runs to the horizon
+            "tie": u.values[int(rng.integers(grid.size))],
+            "inside": float(rng.uniform(lo, hi)),
+        }[where]
+        # tol sized so that the documented horizon is at most ``horizon``
+        bound = (max(abs(lo), abs(hi)) + 0.5) / (1.0 - beta)
+        p = SearchParams(beta, 0.5, bound * beta**horizon * 1.000001)
+        assert solver_module.simulation_horizon(u, p) <= horizon
+        got = simulate_search(pmf, u, p, threshold, seed, episodes)
+        assert got == oracle_simulate_search(pmf, u, p, threshold, seed, episodes)
