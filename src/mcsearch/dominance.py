@@ -1,13 +1,13 @@
 """Stochastic-dominance checks over function classes, via dual-cone LPs.
 
 ``F`` dominates ``G`` on a class when E_F[U] >= E_G[U] for every U in the
-class.  On a finite grid the class is a polyhedral cone cut out by the local
-constraints of :mod:`mcsearch.utility` (the convex class adds subgradient
-variables), and because every class here is invariant under positive affine
-rescaling, the quantified statement reduces to one linear program: minimize
-the expectation gap over the cone intersected with the box 0 <= U <= 1.  A
-nonnegative minimum proves dominance; a negative one yields a witness
-utility function violating it.
+class.  On a finite grid the class is a polyhedral cone, the class's one
+``ConeMatrix`` of :mod:`mcsearch.utility` (over the values and, for the
+convex class, one subgradient per node), and because every class here is
+invariant under positive affine rescaling, the quantified statement reduces
+to one linear program: minimize the expectation gap over the cone
+intersected with the box 0 <= U <= 1.  A nonnegative minimum proves
+dominance; a negative one yields a witness utility function violating it.
 
 Also provides the brute-force upper-set oracle for the increasing order and
 the three constructive generators of dominance pairs (upward mass shift,
@@ -20,13 +20,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import Grid, Pmf, common_grid, expectation
+from .grids import Pmf, common_grid, expectation
 from .simplex import solve_lp
 from .utility import (
     MEMBERSHIP_TOL,
     FunctionClass,
     TabulatedUtility,
-    convex_pairs,
     is_member,
     local_rows,
     tabulate,
@@ -70,6 +69,8 @@ def dominates(
     ``sum((f_i - g_i) * U_i)`` over the class cone intersected with
     ``0 <= U <= 1``; since expectation gaps are invariant under adding
     constants and scale linearly, the box section decides the full cone.
+    Every class builds this LP the same way from its ``ConeMatrix``; the
+    convex class's subgradient variables are free.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -77,26 +78,20 @@ def dominates(
     n = grid.size
     gap = fe.mass_array - ge.mass_array
 
-    if function_class is FunctionClass.CONVEX:
-        n_vars = n + n * grid.ndim
-    else:
-        n_vars = n
+    # the convex cone adds one subgradient per node after the values
+    n_vars = n + n * grid.ndim if function_class is FunctionClass.CONVEX else n
     if n_vars > LP_VARIABLE_GUARD:
         raise ValueError(
             f"dominance LP would need {n_vars} variables (guard {LP_VARIABLE_GUARD}); "
             "reduce the grid"
         )
 
-    if function_class is FunctionClass.CONVEX:
-        a_ub, bounds = _convex_cone_program(grid)
-        c = np.concatenate([gap, np.zeros(n * grid.ndim)])
-    else:
-        cone = local_rows(grid, function_class)
-        a_ub = np.zeros((len(cone), n))
-        # cone row >= 0 becomes -row <= 0; padding subtracts zeros
-        np.subtract.at(a_ub, (np.arange(len(cone))[:, None], cone.idx), cone.coeff)
-        bounds = [(0.0, 1.0)] * n
-        c = gap
+    cone = local_rows(grid, function_class)
+    a_ub = np.zeros((len(cone), n_vars))
+    # cone row >= 0 becomes -row <= 0; padding subtracts zeros
+    np.subtract.at(a_ub, (np.arange(len(cone))[:, None], cone.idx), cone.coeff)
+    bounds = [(0.0, 1.0)] * n + [(None, None)] * (n_vars - n)
+    c = np.concatenate([gap, np.zeros(n_vars - n)])
 
     res = solve_lp(c, a_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), bounds=bounds)
     if not res.ok:
@@ -117,26 +112,6 @@ def dominates(
             "inconclusive", res.fun, None, reason="LP witness failed class re-verification"
         )
     return DominanceResult("fails", recomputed, witness)
-
-
-def _convex_cone_program(grid: Grid) -> tuple[np.ndarray, list[tuple[float | None, float | None]]]:
-    """Constraint matrix for the convex-extendable cone.
-
-    Variables are the n utility values followed by one subgradient vector
-    per node; rows encode u_j >= u_i + g_i . (x_j - x_i) for every ordered
-    node pair of ``convex_pairs``, in its order, i.e. extendability to a
-    convex function on R^K.
-    """
-    n, k = grid.size, grid.ndim
-    i, j, diff = convex_pairs(grid)
-    r = np.arange(i.size)
-    a_ub = np.zeros((i.size, n + n * k))
-    a_ub[r, i] = 1.0
-    a_ub[r, j] = -1.0
-    a_ub[r[:, None], n + i[:, None] * k + np.arange(k)] = diff
-    bounds: list[tuple[float | None, float | None]] = [(0.0, 1.0)] * n
-    bounds += [(None, None)] * (n * k)
-    return a_ub, bounds
 
 
 def dominates_increasing_bruteforce(f: Pmf, g: Pmf, tol: float = MEMBERSHIP_TOL) -> bool:

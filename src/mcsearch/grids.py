@@ -189,12 +189,15 @@ def common_grid(f: Pmf, g: Pmf) -> tuple[Grid, Pmf, Pmf]:
     """Embed two pmfs of equal dimension on the union-of-coordinates grid.
 
     Absent nodes get zero mass, so expectations of any tabulated utility are
-    unchanged by the embedding.
+    unchanged by the embedding.  Pmfs already on one grid come back as they
+    are.
     """
     if f.grid.ndim != g.grid.ndim:
         raise ValueError(
             f"dimension mismatch: {f.grid.ndim}-D vs {g.grid.ndim}-D"
         )
+    if f.grid == g.grid:
+        return f.grid, f, g
     axes = tuple(
         tuple(sorted(set(fa) | set(ga)))
         for fa, ga in zip(f.grid.axes, g.grid.axes)
@@ -203,20 +206,12 @@ def common_grid(f: Pmf, g: Pmf) -> tuple[Grid, Pmf, Pmf]:
 
     def embed(p: Pmf) -> Pmf:
         if p.grid == grid:
-            return Pmf(grid, p.mass)
-        mass = np.zeros(grid.size)
+            return p
+        mass = np.zeros(grid.shape)
         # per-axis position of each old coordinate inside the union axis
-        pos = [
-            {c: i for i, c in enumerate(axes[k]) if c in set(p.grid.axes[k])}
-            for k in range(grid.ndim)
-        ]
-        for flat in range(p.grid.size):
-            old_multi = p.grid.multi_index(flat)
-            new_multi = tuple(
-                pos[k][p.grid.axes[k][old_multi[k]]] for k in range(grid.ndim)
-            )
-            mass[grid.flat_index(new_multi)] = p.mass[flat]
-        return Pmf(grid, tuple(float(x) for x in mass))
+        pos = [np.searchsorted(axis, old) for axis, old in zip(axes, p.grid.axes)]
+        mass[np.ix_(*pos)] = p.mass_array.reshape(p.grid.shape)
+        return Pmf(grid, tuple(mass.reshape(-1).tolist()))
 
     return grid, embed(f), embed(g)
 

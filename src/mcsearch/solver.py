@@ -206,7 +206,9 @@ def simulate_search(
     from a single seeded PCG64 stream consumed period by period: each period
     draws one offer for every episode still searching, in episode order,
     through ``OfferSampler`` (the draws of ``rng.choice``), so results are
-    bit-reproducible for a fixed seed.
+    bit-reproducible for a fixed seed.  When no node with positive mass
+    reaches the threshold, nothing is drawn: every episode realizes the
+    flow value of the whole horizon.
     """
     if episodes < 1:
         raise ValueError("need at least one episode")
@@ -226,7 +228,10 @@ def simulate_search(
     # discounted value of t periods of unemployment flow
     flow = gamma * (1.0 - beta ** np.arange(horizon + 1)) / (1.0 - beta)
     accepted = 0
-    for t in range(horizon):
+    # draws never land on zero-mass nodes, so when no other node reaches the
+    # threshold every episode runs to the horizon whatever is drawn
+    periods = horizon if (vals[pmf.mass_array > 0] >= threshold).any() else 0
+    for t in range(periods):
         searching = alive.size
         # every draw is a node index; mode "raise" would copy ``out``
         offers = np.take(vals, sampler.draw(rng, searching), out=offer_buf[:searching], mode="clip")

@@ -105,8 +105,9 @@ class VerificationReport:
         return "pass" if self.conclusion_holds else "fail"
 
 
-def verify_theorem(case: TheoremCase, premise_tol: float = MEMBERSHIP_TOL) -> VerificationReport:
-    """Check both premises, then compare reservation utilities.
+def verify_theorem(case: TheoremCase) -> VerificationReport:
+    """Check both premises at ``MEMBERSHIP_TOL``, then compare reservation
+    utilities.
 
     The conclusion is accepted when u_F >= u_G - 10*tol, the looser factor
     absorbing the error of two independent solves.
@@ -116,8 +117,8 @@ def verify_theorem(case: TheoremCase, premise_tol: float = MEMBERSHIP_TOL) -> Ve
     if case.utility.grid != case.f.grid:
         raise ValueError("utility must be tabulated on the pmfs' grid")
     fc = case.function_class
-    dom = dominates(case.f, case.g, fc, premise_tol)
-    mem = is_member(case.utility, fc, premise_tol)
+    dom = dominates(case.f, case.g, fc, MEMBERSHIP_TOL)
+    mem = is_member(case.utility, fc, MEMBERSHIP_TOL)
     if dom.verdict != "dominates" or not mem.member:
         reasons = []
         if dom.verdict == "fails":

@@ -11,18 +11,21 @@ characterize the class:
 * supermodular: every elementary 2x2 cell of adjacent coordinates, for every
   pair of dimensions, has nonnegative cross-difference.
 
-Each class has one cone representation, a ``ConeMatrix`` whose row ``r``
-reads ``sum_c coeff[r, c] * u[idx[r, c]] >= 0``; membership and the
-dominance LP both use it.  Node indices depend only on the grid shape, are
-built by index arithmetic on its C-order strides and kept in a small LRU
-cache of read-only arrays; spacing-dependent coefficients are computed on
-every call.
-
 Joint convexity is tested as extendability to a convex function on R^K:
-a subgradient must exist at every node.  Its cone is the list of ordered
-node pairs from ``convex_pairs``, read by the membership test (difference
-quotients as candidate subgradients, an LP per node only where none holds)
-and the dominance LP.  Composite classes are conjunctions.
+a subgradient g_i must exist at every node i, with
+``u_j - u_i - g_i . (x_j - x_i) >= 0`` for every other node j.
+
+Each class, the convex one included, has one cone representation, a
+``ConeMatrix`` whose row ``r`` reads ``sum_c coeff[r, c] * v[idx[r, c]] >=
+0``; membership and the dominance LP both use it.  For the local classes
+``v`` is ``u``; for the convex class it is ``u`` followed by the
+subgradients, one ``K``-vector per node.  Node indices depend only on the
+grid shape, are built by index arithmetic on its C-order strides and kept
+in a small LRU cache of read-only arrays; spacing-dependent coefficients
+are computed on every call.  The convex membership test reads its pairs
+from the matrix, tries difference quotients as candidate subgradients and
+solves an LP per node only where none holds.  Composite classes are
+conjunctions.
 """
 from __future__ import annotations
 
@@ -42,6 +45,9 @@ from .simplex import solve_lp
 #: Default absolute tolerance on membership constraints, shared with the
 #: dominance checker so both sides of a theorem premise use one knob.
 MEMBERSHIP_TOL = 1e-9
+
+#: Candidates ``random_member`` draws before it gives up.
+RANDOM_MEMBER_TRIES = 50
 
 
 class FunctionClass(enum.Enum):
@@ -63,8 +69,8 @@ class FunctionClass(enum.Enum):
 
 
 #: Base families whose conjunction defines each class, in the order
-#: membership reports violations.  ``convex`` is the subgradient test; the
-#: rest are local-constraint families.
+#: membership reports violations.  ``convex`` rows carry subgradient
+#: variables; the rest are local constraints on the values alone.
 _FAMILIES: dict[FunctionClass, tuple[str, ...]] = {
     FunctionClass.INCREASING: ("increasing",),
     FunctionClass.CONVEX: ("convex",),
@@ -156,24 +162,28 @@ def tabulate_family(
 # ---------------------------------------------------------------------------
 
 #: Per family: the coefficients shared by all its rows (componentwise-convex
-#: ones depend on the axis spacing) and the columns of its witness nodes.
-#: Rows are stored in summation order, (upper, lower) and (ll, hh, lh, hl);
-#: witnesses list (lower, upper) and (ll, lh, hl, hh).
+#: and convex ones depend on the coordinates) and the columns of its witness
+#: nodes.  Rows are stored in summation order, (upper, lower),
+#: (ll, hh, lh, hl) and (j, i, subgradient of i); witnesses list
+#: (lower, upper), (ll, lh, hl, hh) and the node i.
 _FAMILY_LAYOUT: dict[str, tuple[tuple[float, ...] | None, list[int]]] = {
     "increasing": ((1.0, -1.0), [1, 0]),
     "supermodular": ((1.0, 1.0, -1.0, -1.0), [0, 2, 3, 1]),
     "componentwise_convex": (None, [0, 1, 2]),
+    "convex": (None, [1]),
 }
 
 
 @dataclass(frozen=True, eq=False)
 class ConeMatrix:
-    """The local constraints of a class cone on one grid.
+    """The constraints of a class cone on one grid.
 
-    Row ``r`` reads ``sum_c coeff[r, c] * u[idx[r, c]] >= 0``.  Rows come in
-    the class's family order; ``families`` pairs each family with the end of
-    its rows.  A row narrower than the matrix is padded with zero
-    coefficients on its own last node.
+    Row ``r`` reads ``sum_c coeff[r, c] * v[idx[r, c]] >= 0``, where ``v``
+    is the values ``u`` and, for convex rows, the subgradients after them
+    (node i's ``K`` components at ``n + i*K``).  Rows come in the class's
+    family order; ``families`` pairs each family with the end of its rows.
+    A row narrower than the matrix is padded with zero coefficients on its
+    own last node.
     """
 
     idx: np.ndarray
@@ -201,16 +211,22 @@ class ConeMatrix:
 def _family_topology(shape: tuple[int, ...], family: str) -> np.ndarray:
     """Node indices of one family's rows on every grid of this shape.
 
-    Rows run over the nodes in C order and, at each node, over the axes
-    ``k`` (dimension pairs ``p < q`` for supermodular rows).  The array is
-    read-only because the cache shares it between grids.
+    Local rows run over the nodes in C order and, at each node, over the
+    axes ``k`` (dimension pairs ``p < q`` for supermodular rows).  Convex
+    rows are the ordered pairs ``i != j``, i-major.  The array is read-only
+    because the cache shares it between grids.
     """
     ndim = len(shape)
     extent = np.array(shape)
     multi = np.indices(shape).reshape(ndim, -1).T
-    node = np.arange(multi.shape[0])[:, None]
+    n = multi.shape[0]
+    node = np.arange(n)[:, None]
     stride = np.array([math.prod(shape[k + 1 :]) for k in range(ndim)])
-    if family == "supermodular":
+    if family == "convex":
+        # node i down the rows, node j across them
+        valid = ~np.eye(n, dtype=bool)
+        cols = (node.T, node, *(n + node * ndim + k for k in range(ndim)))
+    elif family == "supermodular":
         p, q = np.triu_indices(ndim, k=1)
         valid = (multi[:, p] + 1 < extent[p]) & (multi[:, q] + 1 < extent[q])
         s_p, s_q = stride[p], stride[q]
@@ -230,44 +246,33 @@ def local_rows(grid: Grid, function_class: FunctionClass) -> ConeMatrix:
     """The class cone on this grid as one ``ConeMatrix``.
 
     The node indices of each family are cached by grid shape; the
-    componentwise-convex coefficients ``1/h1, -(1/h1 + 1/h2), 1/h2`` are
-    recomputed from the grid's axes on every call.  The convex class has no
-    purely local characterization (it needs subgradient variables) and is
-    rejected here; its cone is ``convex_pairs``.
+    coefficients that depend on coordinates are recomputed from the grid on
+    every call: ``1/h1, -(1/h1 + 1/h2), 1/h2`` for componentwise-convex rows
+    and ``1, -1, -(x_j - x_i)`` for convex rows.
     """
-    if function_class is FunctionClass.CONVEX:
-        raise ValueError("the convex class is not defined by local rows")
     families = _FAMILIES[function_class]
     blocks = [_family_topology(grid.shape, family) for family in families]
     stops = np.cumsum([len(block) for block in blocks])
     idx = np.empty((stops[-1], max(block.shape[1] for block in blocks)), dtype=np.intp)
     coeff = np.zeros(idx.shape)
+    nodes = grid.nodes
     for family, block, stop in zip(families, blocks, stops):
         rows, w = slice(stop - len(block), stop), block.shape[1]
         idx[rows, :w] = block
         idx[rows, w:] = block[:, -1:]
         shared = _FAMILY_LAYOUT[family][0]
-        if shared is None:
+        if family == "convex":
+            ones = np.ones(len(block))
+            diff = nodes[block[:, 0]] - nodes[block[:, 1]]
+            shared = np.column_stack([ones, -ones, -diff])
+        elif shared is None:
             # a row's nodes differ only along its axis, so the largest
             # coordinate difference of two of them is their axis spacing
-            nodes = grid.nodes
             inv_h1 = 1.0 / (nodes[block[:, 1]] - nodes[block[:, 0]]).max(axis=1)
             inv_h2 = 1.0 / (nodes[block[:, 2]] - nodes[block[:, 1]]).max(axis=1)
             shared = np.stack([inv_h1, -(inv_h1 + inv_h2), inv_h2], axis=-1)
         coeff[rows, :w] = shared
     return ConeMatrix(idx, coeff, tuple(zip(families, stops.tolist())))
-
-
-def convex_pairs(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The convex class's cone on this grid: the ordered node pairs ``(i, j)``
-    with ``i != j``, i-major, and ``x_j - x_i`` for each.
-
-    A utility is convex-extendable iff every node i has a subgradient g_i
-    with ``u_j - u_i >= g_i . (x_j - x_i)`` over its pairs, which are rows
-    ``i*(n-1):(i+1)*(n-1)``.
-    """
-    i, j = np.nonzero(~np.eye(grid.size, dtype=bool))
-    return i, j, grid.nodes[j] - grid.nodes[i]
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +343,10 @@ def _convex_membership(u: TabulatedUtility, tol: float) -> MembershipResult:
     only where no candidate holds."""
     grid = u.grid
     n, k = grid.size, grid.ndim
-    _, j, diff = convex_pairs(grid)
+    cone = local_rows(grid, FunctionClass.CONVEX)
+    j = cone.idx[:, 0]
     vals = u.values_array
-    d = diff.reshape(n, n - 1, k)
+    d = (-cone.coeff[:, 2:]).reshape(n, n - 1, k)
     delta = vals[j].reshape(n, n - 1) - vals[:, None]
     certified = np.zeros(n, dtype=bool)
     for choice in _difference_quotients(u):
@@ -548,11 +554,7 @@ def _random_values(function_class: FunctionClass, grid: Grid, rng: np.random.Gen
 
 
 def random_member(
-    function_class: FunctionClass,
-    grid: Grid,
-    rng: np.random.Generator,
-    *,
-    max_tries: int = 50,
+    function_class: FunctionClass, grid: Grid, rng: np.random.Generator
 ) -> TabulatedUtility:
     """Draw a verified random member of a function class.
 
@@ -561,7 +563,7 @@ def random_member(
     affine pieces), rescaled to a moderate range, then checked with
     ``is_member``; a candidate failing verification is rejected and redrawn.
     """
-    for _ in range(max_tries):
+    for _ in range(RANDOM_MEMBER_TRIES):
         values = _random_values(function_class, grid, rng)
         peak = float(np.abs(values).max())
         if peak < 1e-12:
@@ -570,5 +572,6 @@ def random_member(
         if is_member(u, function_class):
             return u
     raise RuntimeError(
-        f"could not construct a verified {function_class.value} member in {max_tries} tries"
+        f"could not construct a verified {function_class.value} member "
+        f"in {RANDOM_MEMBER_TRIES} tries"
     )

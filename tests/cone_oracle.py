@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mcsearch.simplex import solve_lp
-from mcsearch.utility import _FAMILIES, FunctionClass, MembershipResult, Witness, convex_pairs
+from mcsearch.utility import _FAMILIES, FunctionClass, MembershipResult, Witness
 
 
 @dataclass(frozen=True)
@@ -147,9 +147,11 @@ def oracle_a_ub(grid, function_class: FunctionClass) -> np.ndarray:
     return a_ub
 
 
-def oracle_convex_program(grid) -> np.ndarray:
-    """The convex-extendable cone's inequality matrix, one ordered pair
-    ``i != j`` per row: u_j >= u_i + g_i . (x_j - x_i)."""
+def oracle_convex_program(grid, gap: np.ndarray):
+    """The convex dominance LP ``(c, a_ub, b_ub, bounds)``: minimize
+    ``gap . u`` over the values ``u`` in [0, 1] and one free subgradient
+    ``g_i`` per node, one row per ordered pair ``i != j`` (i-major) with
+    u_j >= u_i + g_i . (x_j - x_i)."""
     n, k = grid.size, grid.ndim
     nodes = grid.nodes
     rows = []
@@ -162,21 +164,23 @@ def oracle_convex_program(grid) -> np.ndarray:
             row[j] = -1.0
             row[n + i * k : n + (i + 1) * k] = nodes[j] - nodes[i]
             rows.append(row)
-    return np.stack(rows)
+    a_ub = np.stack(rows) if rows else np.zeros((0, n + n * k))
+    c = np.concatenate([gap, np.zeros(n * k)])
+    bounds = [(0.0, 1.0)] * n + [(None, None)] * (n * k)
+    return c, a_ub, np.zeros(len(rows)), bounds
 
 
 def oracle_convex_membership(u, tol: float) -> MembershipResult:
-    """Solve min v s.t. g . (x_j - x_i) - (u_j - u_i) <= v for all j, v >= -1,
-    at every node i in C order; the first optimum above ``tol`` is the
-    witness, with margin ``-v*``."""
+    """Solve min v s.t. g . (x_j - x_i) - (u_j - u_i) <= v for all j != i,
+    v >= -1, at every node i in C order; the first optimum above ``tol`` is
+    the witness, with margin ``-v*``."""
     grid = u.grid
     n, k = grid.size, grid.ndim
-    _, j, diff = convex_pairs(grid)
-    vals = u.values_array
+    nodes, vals = grid.nodes, u.values_array
     for i in range(n):
-        rows = slice(i * (n - 1), (i + 1) * (n - 1))
-        d = diff[rows]
-        delta = vals[j[rows]] - vals[i]
+        others = [j for j in range(n) if j != i]
+        d = nodes[others] - nodes[i]
+        delta = vals[others] - vals[i]
         a_ub = np.hstack([d, -np.ones((d.shape[0], 1))])
         c = np.zeros(k + 1)
         c[-1] = 1.0

@@ -1,5 +1,8 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mcsearch import (
     SearchParams,
@@ -7,6 +10,12 @@ from mcsearch import (
     make_pmf,
     tabulate_family,
 )
+
+# CI draws the same examples on every run, so a red run reproduces
+# locally with ``CI=1 pytest``
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 import mcsearch.dominance as dominance_module
 from mcsearch import FunctionClass, dominates, is_member, make_grid, make_pmf, random_member, tabulate
-from mcsearch.dominance import _convex_cone_program
-from mcsearch.utility import _FAMILIES, MEMBERSHIP_TOL, _family_topology, convex_pairs, local_rows
+from mcsearch.utility import _FAMILIES, MEMBERSHIP_TOL, _family_topology, local_rows
 from cone_oracle import (
     ROW_BUILDERS,
     oracle_a_ub,
@@ -49,12 +48,34 @@ def _bits(a: np.ndarray) -> bytes:
 
 
 class _Captured(Exception):
-    def __init__(self, a_ub):
-        self.a_ub = a_ub
+    def __init__(self, c, a_ub, b_ub, bounds):
+        self.c, self.a_ub, self.b_ub, self.bounds = c, a_ub, b_ub, bounds
 
 
-def _capture(c, a_ub=None, **kwargs):
-    raise _Captured(a_ub)
+def _capture(c, a_ub=None, b_ub=None, bounds=None):
+    raise _Captured(c, a_ub, b_ub, bounds)
+
+
+def _random_pmfs(grid, seed):
+    rng = np.random.default_rng(seed)
+    return tuple(make_pmf(grid, rng.dirichlet(np.ones(grid.size))) for _ in range(2))
+
+
+def _captured_program(f, g, fc):
+    """The ``(c, a_ub, b_ub, bounds)`` that ``dominates(f, g, fc)`` passes
+    to the LP solver."""
+    with mock.patch.object(dominance_module, "solve_lp", _capture):
+        with pytest.raises(_Captured) as caught:
+            dominates(f, g, fc)
+    got = caught.value
+    return got.c, got.a_ub, got.b_ub, got.bounds
+
+
+def _assert_same_program(got, want):
+    assert got[1].shape == want[1].shape
+    for mine, theirs in zip(got[:3], want[:3]):
+        assert _bits(mine) == _bits(theirs)
+    assert got[3] == want[3]
 
 
 PROPERTY = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -105,33 +126,43 @@ class TestConeMatrix:
     @PROPERTY
     @given(grid=grids(), fc=st.sampled_from(LOCAL_CLASSES), seed=st.integers(0, 2**32 - 1))
     def test_dominance_matrix_matches_oracle(self, grid, fc, seed):
-        rng = np.random.default_rng(seed)
-        f, g = (make_pmf(grid, rng.dirichlet(np.ones(grid.size))) for _ in range(2))
-        with mock.patch.object(dominance_module, "solve_lp", _capture):
-            with pytest.raises(_Captured) as caught:
-                dominates(f, g, fc)
-        assert caught.value.a_ub.shape == (len(oracle_rows(grid, fc)), grid.size)
-        assert _bits(caught.value.a_ub) == _bits(oracle_a_ub(grid, fc))
+        """The LP ``dominates`` hands to the solver for a local class, bit
+        for bit: the negated cone rows over the values in [0, 1]."""
+        f, g = _random_pmfs(grid, seed)
+        a_ub = oracle_a_ub(grid, fc)
+        want = (f.mass_array - g.mass_array, a_ub, np.zeros(len(a_ub)), [(0.0, 1.0)] * grid.size)
+        _assert_same_program(_captured_program(f, g, fc), want)
 
     @PROPERTY
-    @given(grid=grids(st.sampled_from([(2,), (5,), (2, 3), (3, 3), (2, 2, 2)])))
-    def test_convex_program_matches_oracle(self, grid):
-        a_ub, bounds = _convex_cone_program(grid)
-        assert _bits(a_ub) == _bits(oracle_convex_program(grid))
-        assert len(bounds) == a_ub.shape[1]
+    @given(
+        grid=grids(st.sampled_from([(2,), (5,), (2, 3), (3, 3), (2, 2, 2)])),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_convex_program_matches_oracle(self, grid, seed):
+        """The convex LP ``dominates`` builds from the convex cone matrix is
+        the pair program of ``oracle_convex_program``, bit for bit."""
+        f, g = _random_pmfs(grid, seed)
+        got = _captured_program(f, g, FunctionClass.CONVEX)
+        _assert_same_program(got, oracle_convex_program(grid, f.mass_array - g.mass_array))
 
     @PROPERTY
     @given(grid=grids(st.sampled_from([(1,), (4,), (2, 3), (3, 3), (2, 2, 2)])))
     def test_convex_pairs_rows_per_node(self, grid):
-        """Node i's subgradient rows are i*(n-1):(i+1)*(n-1): every other
-        node in order, with x_j - x_i."""
-        i, j, diff = convex_pairs(grid)
-        n, nodes = grid.size, grid.nodes
+        """Node i's subgradient rows of the convex cone matrix are
+        i*(n-1):(i+1)*(n-1): every other node j in order, then i, then
+        i's subgradient columns, with coefficients 1, -1, -(x_j - x_i)."""
+        cone = local_rows(grid, FunctionClass.CONVEX)
+        n, k, nodes = grid.size, grid.ndim, grid.nodes
+        assert cone.families == (("convex", n * (n - 1)),)
+        assert cone.idx.shape == cone.coeff.shape == (n * (n - 1), 2 + k)
         for node in range(n):
             rows = slice(node * (n - 1), (node + 1) * (n - 1))
-            assert (i[rows] == node).all()
-            assert np.array_equal(j[rows], np.delete(np.arange(n), node))
-            assert _bits(diff[rows]) == _bits(np.delete(nodes - nodes[node], node, axis=0))
+            assert np.array_equal(cone.idx[rows, 0], np.delete(np.arange(n), node))
+            assert (cone.idx[rows, 1] == node).all()
+            assert (cone.idx[rows, 2:] == n + node * k + np.arange(k)).all()
+            assert (cone.coeff[rows, :2] == (1.0, -1.0)).all()
+            diff = np.delete(nodes - nodes[node], node, axis=0)
+            assert _bits(-cone.coeff[rows, 2:]) == _bits(diff)
 
     @PROPERTY
     @given(
@@ -178,7 +209,3 @@ class TestConeMatrix:
         far = make_grid([[0.0, 1.0, 4.0]])
         assert local_rows(near, fc).coeff.tolist() == [[1.0, -2.0, 1.0]]
         assert local_rows(far, fc).coeff.tolist() == [[1.0, -(1.0 + 1.0 / 3.0), 1.0 / 3.0]]
-
-    def test_convex_class_has_no_local_rows(self):
-        with pytest.raises(ValueError, match="not defined by local rows"):
-            local_rows(make_grid([[0.0, 1.0]]), FunctionClass.CONVEX)

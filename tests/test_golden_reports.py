@@ -2,9 +2,10 @@
 
 The files under ``tests/data`` were written by the command-line tool with
 the scenario next to them: the suites before the class cones became
-index-array matrices, and the ``solve``, ``dominate``, single-case
+index-array matrices, the ``solve``, ``dominate``, single-case
 ``verify``, ``simulate`` and table/csv reports before the scenario layer
-moved to one option table.  Scenario paths appear in the report header, so
+moved to one option table, and the convex ``verify`` suite and ``dominate``
+failure before the convex cone became a ``ConeMatrix``.  Scenario paths appear in the report header, so
 each command runs from the data directory with a relative path.
 """
 import contextlib
@@ -20,11 +21,12 @@ DATA = Path(__file__).resolve().parent / "data"
 FORMAT_OF = {".jsonl": "json-lines", ".csv": "csv", ".txt": "table"}
 
 #: (subcommand, scenario stem, golden report file, expected exit code)
-CASES = [("verify", f"verify_{t}", f"verify_{t}.jsonl", 0) for t in ("T2a", "T2c", "T3", "T4")] + [
+CASES = [("verify", f"verify_{t}", f"verify_{t}.jsonl", 0) for t in ("T2a", "T2b", "T2c", "T3", "T4")] + [
     ("closure", "closure_supermodular_truncate", "closure_supermodular_truncate.jsonl", 0),
     ("solve", "solve_product", "solve_product.jsonl", 0),
     ("dominate", "dominate_supermodular", "dominate_supermodular.jsonl", 0),
     ("dominate", "dominate_increasing_fails", "dominate_increasing_fails.jsonl", 1),
+    ("dominate", "dominate_convex_fails", "dominate_convex_fails.jsonl", 1),
     ("verify", "verify_single_T3", "verify_single_T3.jsonl", 0),
     ("simulate", "simulate_reservation", "simulate_reservation.jsonl", 0),
     ("verify", "verify_T2a", "verify_T2a.txt", 0),

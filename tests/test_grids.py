@@ -175,14 +175,41 @@ class TestCommonGrid:
         g = make_pmf(unit_square, [0.5, 0, 0, 0.5])
         grid, fe, ge = common_grid(f, g)
         assert grid == unit_square and fe == f and ge == g
+        assert grid is f.grid and fe is f and ge is g
 
     def test_union_fills_zeros(self):
+        """Every old mass lands, bit for bit, on the union node with its
+        coordinates; every other union node gets zero.  Interleaved axes in
+        1-D, 2-D and 3-D."""
+        cases = [
+            ([[1, 2]], [[2, 3]], ((1.0, 2.0, 3.0),)),
+            (
+                [[0, 2, 5], [1, 4]],
+                [[1, 2, 3, 6], [0, 1, 3, 4]],
+                ((0.0, 1.0, 2.0, 3.0, 5.0, 6.0), (0.0, 1.0, 3.0, 4.0)),
+            ),
+            (
+                [[-1, 1], [0, 3], [2, 4, 6]],
+                [[0, 1, 2], [1, 3], [3, 4]],
+                ((-1.0, 0.0, 1.0, 2.0), (0.0, 1.0, 3.0), (2.0, 3.0, 4.0, 6.0)),
+            ),
+        ]
         f = make_pmf(make_grid([[1, 2]]), [0.5, 0.5])
         g = make_pmf(make_grid([[2, 3]]), [0.3, 0.7])
         grid, fe, ge = common_grid(f, g)
-        assert grid.axes == ((1.0, 2.0, 3.0),)
         assert fe.mass == (0.5, 0.5, 0.0)
         assert ge.mass == (0.0, 0.3, 0.7)
+        rng = np.random.default_rng(3)
+        for f_axes, g_axes, union in cases:
+            f, g = (random_pmf(make_grid(axes), rng) for axes in (f_axes, g_axes))
+            grid, fe, ge = common_grid(f, g)
+            assert grid.axes == union
+            for old, new in ((f, fe), (g, ge)):
+                want = [0.0] * grid.size
+                for i in range(old.grid.size):
+                    want[grid.node_index(old.grid.node(i))] = old.mass[i]
+                assert new.grid == grid
+                assert np.array(new.mass).tobytes() == np.array(want).tobytes()
 
     def test_dimension_mismatch(self, unit_square):
         f = make_pmf(unit_square, [0.25] * 4)

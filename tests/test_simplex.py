@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from cone_oracle import oracle_convex_program
 from conftest import random_grid, random_pmf
-from mcsearch.dominance import _convex_cone_program
 from mcsearch.grids import common_grid, derive_rng, make_grid, make_pmf
 from mcsearch.simplex import LpResult, solve_lp
 from mcsearch.statics import generate_case
@@ -20,9 +20,7 @@ BEALE = dict(
 def _convex_lp(f, g):
     """The convex dominance LP as ``dominates`` builds it: (c, a_ub, b_ub, bounds)."""
     grid, fe, ge = common_grid(f, g)
-    a_ub, bounds = _convex_cone_program(grid)
-    c = np.concatenate([fe.mass_array - ge.mass_array, np.zeros(a_ub.shape[1] - grid.size)])
-    return c, a_ub, np.zeros(a_ub.shape[0]), bounds
+    return oracle_convex_program(grid, fe.mass_array - ge.mass_array)
 
 
 class TestKnownPrograms:

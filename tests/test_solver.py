@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from mcsearch import (
     tabulate_family,
     value_function,
 )
+from mcsearch.grids import OfferSampler
 from conftest import random_grid, random_pmf
 from simulation_oracle import oracle_simulate_search
 
@@ -282,11 +285,26 @@ class TestSimulation:
 
     def test_never_accepting_yields_flow_value(self, two_point):
         _, pmf, u, p = two_point
-        stats = simulate_search(pmf, u, p, threshold=99.0, seed=5, episodes=100)
+        with mock.patch.object(OfferSampler, "draw") as draw:
+            stats = simulate_search(pmf, u, p, threshold=99.0, seed=5, episodes=100)
+        draw.assert_not_called()
         assert stats.accept_rate == 0.0
         flow_total = p.gamma * (1 - p.beta**stats.horizon) / (1 - p.beta)
         assert stats.mean == pytest.approx(flow_total, abs=1e-12)
         assert stats.mean == pytest.approx(p.gamma / (1 - p.beta), abs=p.tol * 2)
+
+    def test_zero_mass_node_above_threshold(self):
+        """Only a zero-mass node reaches the threshold: no episode accepts,
+        as in the loop that draws every period up to the horizon."""
+        grid = make_grid([[0.0, 1.0, 2.0]])
+        pmf = make_pmf(grid, [0.5, 0.5, 0.0])
+        u = tabulate(grid, [0.0, 1.0, 2.0])
+        p = SearchParams(0.9, 0.5, 1e-6)
+        with mock.patch.object(OfferSampler, "draw") as draw:
+            stats = simulate_search(pmf, u, p, threshold=1.5, seed=6, episodes=200)
+        draw.assert_not_called()
+        assert stats == oracle_simulate_search(pmf, u, p, 1.5, 6, 200)
+        assert stats.accept_rate == 0.0
 
     def test_horizon_bounds_tail(self, two_point):
         _, pmf, u, p = two_point
