@@ -40,6 +40,7 @@ from .grids import Grid, Pmf, SearchParams, make_grid, make_pmf
 from .report import FORMATS, Report, emit_report, fmt_value, render_table
 from .solver import ConvergenceError, reservation_utility, simulate_search
 from .statics import (
+    THEOREM_CLASS,
     SuiteConfig,
     TheoremCase,
     closure_check,
@@ -160,71 +161,71 @@ _OPTIONS: dict[str, tuple[str, Callable[[Any, str], Any]]] = {
 }
 
 
-def scenario_from_dict(data: Any, path: str = "scenario") -> Scenario:
-    _expect(isinstance(data, dict), path, "must be a JSON object")
+def scenario_from_dict(data: Any) -> Scenario:
+    _expect(isinstance(data, dict), "scenario", "must be a JSON object")
     version = data.get("schema_version")
-    _expect(version == SCHEMA_VERSION, f"{path}.schema_version",
+    _expect(version == SCHEMA_VERSION, "scenario.schema_version",
             f"must be {SCHEMA_VERSION} (got {version!r})")
     known = {"schema_version", "grid", "pmfs", "utility", "params", "options"}
     for key in data:
-        _expect(key in known, f"{path}.{key}", "unknown section")
+        _expect(key in known, f"scenario.{key}", "unknown section")
 
     grid = None
     if "grid" in data:
         sec = data["grid"]
-        _expect(isinstance(sec, dict) and "axes" in sec, f"{path}.grid", "needs an axes list")
+        _expect(isinstance(sec, dict) and "axes" in sec, "scenario.grid", "needs an axes list")
         axes = sec["axes"]
-        _expect(isinstance(axes, list) and axes, f"{path}.grid.axes", "must be a nonempty list")
-        with _naming(f"{path}.grid.axes"):
-            grid = make_grid([_number_list(ax, f"{path}.grid.axes[{k}]") for k, ax in enumerate(axes)])
+        _expect(isinstance(axes, list) and axes, "scenario.grid.axes", "must be a nonempty list")
+        with _naming("scenario.grid.axes"):
+            grid = make_grid([_number_list(ax, f"scenario.grid.axes[{k}]") for k, ax in enumerate(axes)])
 
     pmfs: dict[str, Pmf] = {}
     if "pmfs" in data:
         sec = data["pmfs"]
-        _expect(isinstance(sec, dict), f"{path}.pmfs", "must be an object with keys f and/or g")
+        _expect(isinstance(sec, dict), "scenario.pmfs", "must be an object with keys f and/or g")
         for key in sec:
-            _expect(key in ("f", "g"), f"{path}.pmfs.{key}", "unknown pmf name (use f or g)")
-        _expect(grid is not None, f"{path}.grid", "required when pmfs are given")
+            _expect(key in ("f", "g"), f"scenario.pmfs.{key}", "unknown pmf name (use f or g)")
+        _expect(grid is not None, "scenario.grid", "required when pmfs are given")
         for key in sorted(sec):
-            weights = _number_list(sec[key], f"{path}.pmfs.{key}")
-            with _naming(f"{path}.pmfs.{key}"):
+            weights = _number_list(sec[key], f"scenario.pmfs.{key}")
+            with _naming(f"scenario.pmfs.{key}"):
                 pmfs[key] = make_pmf(grid, weights)
 
     utility = None
     if "utility" in data:
         sec = data["utility"]
-        _expect(isinstance(sec, dict) and "family" in sec, f"{path}.utility", "needs a family")
+        _expect(isinstance(sec, dict) and "family" in sec, "scenario.utility", "needs a family")
         family = sec["family"]
-        _expect(family in ("linear", "product", "min", "custom"), f"{path}.utility.family",
+        _expect(family in ("linear", "product", "min", "custom"), "scenario.utility.family",
                 f"unknown family {family!r}")
         a, values = (
-            _number_list(sec[key], f"{path}.utility.{key}") if key in sec else None
+            _number_list(sec[key], f"scenario.utility.{key}") if key in sec else None
             for key in ("a", "values")
         )
-        _expect(family != "linear" or a is not None, f"{path}.utility.a", "required for linear")
-        _expect(family != "custom" or values is not None, f"{path}.utility.values",
+        _expect(family != "linear" or a is not None, "scenario.utility.a", "required for linear")
+        _expect(family != "custom" or values is not None, "scenario.utility.values",
                 "required for custom")
         utility = UtilitySpec(family, a, values)
 
     params = None
     if "params" in data:
         sec = data["params"]
-        _expect(isinstance(sec, dict), f"{path}.params", "must be an object")
+        _expect(isinstance(sec, dict), "scenario.params", "must be an object")
         numbers = []
         for key in ("beta", "gamma", "tol"):
-            _expect(key in sec or key == "tol", f"{path}.params.{key}", "required")
-            numbers.append(_number(sec.get(key, 1e-10), f"{path}.params.{key}"))
-        with _naming(f"{path}.params"):
+            _expect(key in sec or key == "tol", f"scenario.params.{key}", "required")
+            numbers.append(_number(sec.get(key, 1e-10), f"scenario.params.{key}"))
+        with _naming("scenario.params"):
             params = SearchParams(*numbers)
 
     options: dict[str, Any] = {}
     if "options" in data:
         sec = data["options"]
-        _expect(isinstance(sec, dict), f"{path}.options", "must be an object")
+        _expect(isinstance(sec, dict), "scenario.options", "must be an object")
         for key, val in sec.items():
-            _expect(key in _OPTIONS, f"{path}.options.{key}", "unknown option")
+            _expect(key in _OPTIONS, f"scenario.options.{key}", "unknown option")
             name, convert = _OPTIONS[key]
-            options[name] = convert(val, f"{path}.options.{key}")
+            options[name] = convert(val, f"scenario.options.{key}")
 
     return Scenario(
         SCHEMA_VERSION, grid, pmfs.get("f"), pmfs.get("g"), utility, params, Options(**options)
@@ -510,7 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--class", dest="function_class", default=None,
                        choices=[fc.value for fc in FunctionClass],
                        help="override options.class")
-        p.add_argument("--theorem", default=None, choices=["T2a", "T2b", "T2c", "T3", "T4"],
+        p.add_argument("--theorem", default=None, choices=list(THEOREM_CLASS),
                        help="override options.theorem")
         p.add_argument("--out", default=None, help="also write a machine-readable report here")
         p.add_argument("--format", default="json-lines", choices=list(FORMATS),

@@ -26,6 +26,7 @@ from .utility import (
     MEMBERSHIP_TOL,
     FunctionClass,
     TabulatedUtility,
+    cone_rows,
     is_member,
     local_rows,
     tabulate,
@@ -33,6 +34,10 @@ from .utility import (
 
 #: Hard cap on LP variables (utility values plus subgradient components).
 LP_VARIABLE_GUARD = 5000
+
+#: Hard cap on the entries of the LP's dense constraint matrix (cone rows
+#: times variables): 8 MB of floats, checked before the matrix is built.
+LP_ENTRY_GUARD = 1_000_000
 
 #: Grid-size cap for the exponential upper-set enumeration.
 BRUTE_FORCE_NODE_CAP = 12
@@ -45,7 +50,7 @@ class DominanceResult:
     verdict is ``dominates``, ``fails`` or ``inconclusive``; ``lp_optimum``
     is the minimal expectation gap over the normalized class section, and
     ``witness`` (present exactly when the verdict is ``fails``) is a class
-    member whose expectation gap is below -tol.
+    member whose expectation gap is below ``-MEMBERSHIP_TOL``.
     """
 
     verdict: str
@@ -57,12 +62,7 @@ class DominanceResult:
         return self.verdict == "dominates"
 
 
-def dominates(
-    f: Pmf,
-    g: Pmf,
-    function_class: FunctionClass,
-    tol: float = MEMBERSHIP_TOL,
-) -> DominanceResult:
+def dominates(f: Pmf, g: Pmf, function_class: FunctionClass) -> DominanceResult:
     """Decide whether ``f`` dominates ``g`` on a function class.
 
     The pmfs are first embedded on their common grid.  The LP minimizes
@@ -70,10 +70,10 @@ def dominates(
     ``0 <= U <= 1``; since expectation gaps are invariant under adding
     constants and scale linearly, the box section decides the full cone.
     Every class builds this LP the same way from its ``ConeMatrix``; the
-    convex class's subgradient variables are free.
+    convex class's subgradient variables are free.  A minimum of at least
+    ``-MEMBERSHIP_TOL`` (fixed, not set per call) is ``dominates``.  LPs
+    past either guard raise ``ValueError`` before the matrix is built.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     grid, fe, ge = common_grid(f, g)
     n = grid.size
     gap = fe.mass_array - ge.mass_array
@@ -84,6 +84,12 @@ def dominates(
         raise ValueError(
             f"dominance LP would need {n_vars} variables (guard {LP_VARIABLE_GUARD}); "
             "reduce the grid"
+        )
+    n_rows = cone_rows(grid.shape, function_class)
+    if n_rows * n_vars > LP_ENTRY_GUARD:
+        raise ValueError(
+            f"dominance LP would need {n_rows} x {n_vars} constraint entries "
+            f"(guard {LP_ENTRY_GUARD}); reduce the grid"
         )
 
     cone = local_rows(grid, function_class)
@@ -96,30 +102,30 @@ def dominates(
     res = solve_lp(c, a_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), bounds=bounds)
     if not res.ok:
         return DominanceResult("inconclusive", None, None, reason=f"LP status: {res.status}")
-    if res.fun >= -tol:
+    if res.fun >= -MEMBERSHIP_TOL:
         return DominanceResult("dominates", res.fun, None)
     # certify the counterexample before reporting a failure: the witness must
     # re-test as a class member and its gap, recomputed by direct summation,
-    # must genuinely fall below -tol
+    # must genuinely fall below -MEMBERSHIP_TOL
     witness = tabulate(grid, res.x[:n])
     recomputed = expectation(fe, witness) - expectation(ge, witness)
-    if recomputed >= -tol:
+    if recomputed >= -MEMBERSHIP_TOL:
         return DominanceResult(
             "inconclusive", res.fun, None, reason="LP minimum not confirmed by direct summation"
         )
-    if not is_member(witness, function_class, tol):
+    if not is_member(witness, function_class):
         return DominanceResult(
             "inconclusive", res.fun, None, reason="LP witness failed class re-verification"
         )
     return DominanceResult("fails", recomputed, witness)
 
 
-def dominates_increasing_bruteforce(f: Pmf, g: Pmf, tol: float = MEMBERSHIP_TOL) -> bool:
+def dominates_increasing_bruteforce(f: Pmf, g: Pmf) -> bool:
     """Increasing-order dominance by direct upper-set enumeration.
 
-    True iff F puts at least as much mass as G (within tol) on every upper
-    set of the componentwise node order.  Exponential in the node count,
-    hence the small-grid guard; exists as an independent oracle for the LP.
+    True iff F puts at least as much mass as G (within MEMBERSHIP_TOL) on
+    every upper set of the componentwise node order.  Exponential in the
+    node count, hence the small-grid guard; an independent oracle for the LP.
     """
     grid, fe, ge = common_grid(f, g)
     n = grid.size
@@ -136,7 +142,7 @@ def dominates_increasing_bruteforce(f: Pmf, g: Pmf, tol: float = MEMBERSHIP_TOL)
         members = [i for i in range(n) if bits >> i & 1]
         if any(not bits >> j & 1 for i in members for j in greater[i]):
             continue  # not upward closed
-        if fm[members].sum() < gm[members].sum() - tol:
+        if fm[members].sum() < gm[members].sum() - MEMBERSHIP_TOL:
             return False
     return True
 

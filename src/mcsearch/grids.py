@@ -168,10 +168,14 @@ def normalize_weights(weights: Sequence[float]) -> tuple[float, ...]:
     return tuple(float(x) for x in w / total)
 
 
-def expectation(pmf: Pmf, u: "TabulatedUtility") -> float:
-    """E[u] under pmf: sum of mass(x) * u(x) over grid nodes."""
+def check_same_grid(pmf: Pmf, u: "TabulatedUtility") -> None:
     if u.grid != pmf.grid:
         raise ValueError("utility is tabulated on a different grid than the pmf")
+
+
+def expectation(pmf: Pmf, u: "TabulatedUtility") -> float:
+    """E[u] under pmf: sum of mass(x) * u(x) over grid nodes."""
+    check_same_grid(pmf, u)
     return float(np.dot(pmf.mass_array, u.values_array))
 
 

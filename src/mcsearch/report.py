@@ -11,9 +11,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Any
-
-FORMATS = ("table", "csv", "json-lines")
+from typing import Any, Callable
 
 
 @dataclass(frozen=True)
@@ -44,10 +42,13 @@ def _round12(v: Any) -> Any:
     return str(v)
 
 
+def _comments(values: dict[str, Any]) -> list[str]:
+    """The ``# key = value`` lines of a report's configuration or summary."""
+    return [f"# {key} = {fmt_value(val)}" for key, val in values.items()]
+
+
 def render_table(report: Report) -> str:
-    lines = [f"# {report.kind}"]
-    for key, val in report.config.items():
-        lines.append(f"# {key} = {fmt_value(val)}")
+    lines = [f"# {report.kind}", *_comments(report.config)]
     if report.columns:
         cells = [
             [fmt_value(row.get(col)) for col in report.columns] for row in report.rows
@@ -60,8 +61,7 @@ def render_table(report: Report) -> str:
         lines.append("  ".join("-" * w for w in widths))
         for r in cells:
             lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    for key, val in report.summary.items():
-        lines.append(f"# {key} = {fmt_value(val)}")
+    lines += _comments(report.summary)
     return "\n".join(lines) + "\n"
 
 
@@ -69,15 +69,12 @@ def render_csv(report: Report) -> str:
     """Comment lines carry the configuration and summary; the data block is
     plain CSV with one documented column set per report kind."""
     buf = io.StringIO()
-    buf.write(f"# {report.kind}\n")
-    for key, val in report.config.items():
-        buf.write(f"# {key} = {fmt_value(val)}\n")
+    buf.writelines(f"{line}\n" for line in [f"# {report.kind}", *_comments(report.config)])
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(report.columns)
     for row in report.rows:
         writer.writerow([fmt_value(row.get(col)) for col in report.columns])
-    for key, val in report.summary.items():
-        buf.write(f"# {key} = {fmt_value(val)}\n")
+    buf.writelines(f"{line}\n" for line in _comments(report.summary))
     return buf.getvalue()
 
 
@@ -99,11 +96,15 @@ def render_json_lines(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Report format name -> renderer.
+FORMATS: dict[str, Callable[[Report], str]] = {
+    "table": render_table,
+    "csv": render_csv,
+    "json-lines": render_json_lines,
+}
+
+
 def emit_report(report: Report, fmt: str) -> bytes:
-    if fmt == "table":
-        return render_table(report).encode()
-    if fmt == "csv":
-        return render_csv(report).encode()
-    if fmt == "json-lines":
-        return render_json_lines(report).encode()
-    raise ValueError(f"unknown report format {fmt!r}; choose one of {', '.join(FORMATS)}")
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}; choose one of {', '.join(FORMATS)}")
+    return FORMATS[fmt](report).encode()

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import OfferSampler, Pmf, SearchParams
+from .grids import OfferSampler, Pmf, SearchParams, check_same_grid
 from .utility import TabulatedUtility, tabulate
 
 #: Hard cap on contraction iterations before the solver reports a defect.
@@ -54,7 +54,7 @@ def continuation_map(
 ) -> float:
     """psi(t) = (1 - beta)*gamma + beta*E[max(U, t)]: nondecreasing in t and
     a contraction with modulus beta."""
-    _check_same_grid(pmf, u)
+    check_same_grid(pmf, u)
     if not math.isfinite(u_candidate):
         raise ValueError(f"candidate must be finite, got {u_candidate!r}")
     return _continuation(pmf, u, params)(u_candidate)
@@ -76,11 +76,6 @@ def _continuation(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> Callab
     return psi
 
 
-def _check_same_grid(pmf: Pmf, u: TabulatedUtility) -> None:
-    if u.grid != pmf.grid:
-        raise ValueError("utility is tabulated on a different grid than the pmf")
-
-
 def equation_residual(t: float, pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> float:
     """Defect of t = gamma + beta/(1-beta) * E[(U - t)+]."""
     plus = np.maximum(u.values_array - t, 0.0)
@@ -94,7 +89,7 @@ def solve_fixed_point(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> tu
     Stops once one further step certifies both |t - t*| and the equation
     residual below the tolerance.
     """
-    _check_same_grid(pmf, u)
+    check_same_grid(pmf, u)
     psi = _continuation(pmf, u, params)
     beta, tol = params.beta, params.tol
     stop = 0.5 * tol * (1.0 - beta) / beta
@@ -118,7 +113,7 @@ def solve_bisection(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> tupl
     large magnitudes where that width is below the float spacing, when the
     bracket has shrunk to two adjacent floats.
     """
-    _check_same_grid(pmf, u)
+    check_same_grid(pmf, u)
     psi = _continuation(pmf, u, params)
     beta, gamma, tol = params.beta, params.gamma, params.tol
     vals = u.values_array
@@ -214,7 +209,7 @@ def simulate_search(
         raise ValueError("need at least one episode")
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold!r}")
-    _check_same_grid(pmf, u)
+    check_same_grid(pmf, u)
     beta, gamma = params.beta, params.gamma
     horizon = simulation_horizon(u, params)
     rng = np.random.default_rng(int(seed))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .dominance import (
 from .grids import Grid, Pmf, SearchParams, derive_rng, make_grid, make_pmf
 from .solver import reservation_utility
 from .utility import (
-    MEMBERSHIP_TOL,
+    _FAMILIES,
     FunctionClass,
     TabulatedUtility,
     Witness,
@@ -33,16 +34,25 @@ from .utility import (
     is_member,
     random_member,
     tabulate,
-    truncate,
 )
 
-#: Function class attached to each theorem id, used for both premises.
+#: The theorem ids, each with the function class used for both premises.
 THEOREM_CLASS: dict[str, FunctionClass] = {
     "T2a": FunctionClass.INCREASING,
     "T2b": FunctionClass.CONVEX,
     "T2c": FunctionClass.COMPONENTWISE_CONVEX,
     "T3": FunctionClass.INCREASING_SUPERMODULAR,
     "T4": FunctionClass.INCREASING_ULTRAMODULAR,
+}
+
+#: Closure operators by name: each maps a class member and its sample's
+#: generator to the image that is tested again.
+_OPERATORS: dict[str, Callable[[TabulatedUtility, np.random.Generator], TabulatedUtility]] = {
+    "truncate": lambda u, rng: clamp_below(u, 0.0),
+    "affine": lambda u, rng: affine_transform(
+        u, float(rng.uniform(0.25, 3.0)), float(rng.uniform(0.0, 2.0))
+    ),
+    "clamp": lambda u, rng: clamp_below(u, float(rng.uniform(0.0, 3.0))),
 }
 
 #: Class/operator combinations that are provably NOT closed; their closure
@@ -52,6 +62,12 @@ NOT_CLOSED: frozenset[tuple[FunctionClass, str]] = frozenset(
     for fc in (FunctionClass.SUPERMODULAR, FunctionClass.ULTRAMODULAR)
     for op in ("truncate", "clamp")
 )
+
+
+def _theorem_class(theorem_id: str) -> FunctionClass:
+    if theorem_id not in THEOREM_CLASS:
+        raise ValueError(f"unknown theorem id {theorem_id!r}; choose one of {sorted(THEOREM_CLASS)}")
+    return THEOREM_CLASS[theorem_id]
 
 
 def truncation_counterexample() -> TabulatedUtility:
@@ -70,10 +86,7 @@ class TheoremCase:
     params: SearchParams
 
     def __post_init__(self) -> None:
-        if self.theorem_id not in THEOREM_CLASS:
-            raise ValueError(
-                f"unknown theorem id {self.theorem_id!r}; choose one of {sorted(THEOREM_CLASS)}"
-            )
+        _theorem_class(self.theorem_id)
 
     @property
     def function_class(self) -> FunctionClass:
@@ -117,8 +130,8 @@ def verify_theorem(case: TheoremCase) -> VerificationReport:
     if case.utility.grid != case.f.grid:
         raise ValueError("utility must be tabulated on the pmfs' grid")
     fc = case.function_class
-    dom = dominates(case.f, case.g, fc, MEMBERSHIP_TOL)
-    mem = is_member(case.utility, fc, MEMBERSHIP_TOL)
+    dom = dominates(case.f, case.g, fc)
+    mem = is_member(case.utility, fc)
     if dom.verdict != "dominates" or not mem.member:
         reasons = []
         if dom.verdict == "fails":
@@ -160,35 +173,14 @@ def _random_grid(rng: np.random.Generator, shape: tuple[int, ...]) -> Grid:
     return make_grid(axes)
 
 
-def _apply_transfer(
-    theorem_id: str, g: Pmf, rng: np.random.Generator
-) -> Pmf:
+def _apply_transfer(function_class: FunctionClass, g: Pmf, rng: np.random.Generator) -> Pmf:
+    """F from G by a move that makes F dominate G on the class: a
+    concordance transfer where the class has supermodular rows, else an
+    upward shift where it is increasing, else a mean-preserving spread."""
     grid = g.grid
     shape = grid.shape
-    if theorem_id == "T2a":
-        # upward shift between distinct comparable nodes
-        while True:
-            multi_from = tuple(int(rng.integers(s)) for s in shape)
-            if any(m + 1 < s for m, s in zip(multi_from, shape)):
-                break
-        multi_to = tuple(int(rng.integers(m, s)) for m, s in zip(multi_from, shape))
-        if multi_to == multi_from:
-            k = next(k for k, (m, s) in enumerate(zip(multi_from, shape)) if m + 1 < s)
-            multi_to = multi_to[:k] + (multi_from[k] + 1,) + multi_to[k + 1 :]
-        i = grid.flat_index(multi_from)
-        eps = g.mass[i] * float(rng.uniform(0.2, 0.9))
-        return fosd_shift(g, grid.node(i), grid.node(grid.flat_index(multi_to)), eps)
-    if theorem_id in ("T2b", "T2c"):
-        axes_ok = [k for k, s in enumerate(shape) if s >= 3]
-        if not axes_ok:
-            raise ValueError("mean-preserving spreads need an axis with at least 3 nodes")
-        axis = int(axes_ok[rng.integers(len(axes_ok))])
-        multi = [int(rng.integers(s)) for s in shape]
-        multi[axis] = int(rng.integers(1, shape[axis] - 1))
-        i = grid.flat_index(multi)
-        eps = g.mass[i] * float(rng.uniform(0.2, 0.9))
-        return mean_preserving_spread(g, axis, grid.node(i), eps)
-    if theorem_id in ("T3", "T4"):
+    families = _FAMILIES[function_class]
+    if "supermodular" in families:
         if grid.ndim < 2:
             raise ValueError("concordance transfers need at least two dimensions")
         p, q = sorted(int(x) for x in rng.choice(grid.ndim, size=2, replace=False))
@@ -211,7 +203,28 @@ def _apply_transfer(
         donor = min(mass_at(p_pair[0], q_pair[1]), mass_at(p_pair[1], q_pair[0]))
         delta = donor * float(rng.uniform(0.2, 0.9))
         return concordance_transfer(g, (p, q), cell, delta, at=at or None)
-    raise ValueError(f"unknown theorem id {theorem_id!r}")
+    if "increasing" in families:
+        # upward shift between distinct comparable nodes
+        while True:
+            multi_from = tuple(int(rng.integers(s)) for s in shape)
+            if any(m + 1 < s for m, s in zip(multi_from, shape)):
+                break
+        multi_to = tuple(int(rng.integers(m, s)) for m, s in zip(multi_from, shape))
+        if multi_to == multi_from:
+            k = next(k for k, (m, s) in enumerate(zip(multi_from, shape)) if m + 1 < s)
+            multi_to = multi_to[:k] + (multi_from[k] + 1,) + multi_to[k + 1 :]
+        i = grid.flat_index(multi_from)
+        eps = g.mass[i] * float(rng.uniform(0.2, 0.9))
+        return fosd_shift(g, grid.node(i), grid.node(grid.flat_index(multi_to)), eps)
+    axes_ok = [k for k, s in enumerate(shape) if s >= 3]
+    if not axes_ok:
+        raise ValueError("mean-preserving spreads need an axis with at least 3 nodes")
+    axis = int(axes_ok[rng.integers(len(axes_ok))])
+    multi = [int(rng.integers(s)) for s in shape]
+    multi[axis] = int(rng.integers(1, shape[axis] - 1))
+    i = grid.flat_index(multi)
+    eps = g.mass[i] * float(rng.uniform(0.2, 0.9))
+    return mean_preserving_spread(g, axis, grid.node(i), eps)
 
 
 def generate_case(
@@ -226,11 +239,12 @@ def generate_case(
     transfer, and the utility is a verified random member of the theorem's
     class; beta and gamma are drawn from moderate ranges.
     """
+    function_class = _theorem_class(theorem_id)
     rng = derive_rng(seed, case_index)
     grid = _random_grid(rng, grid_shape)
     g = make_pmf(grid, rng.dirichlet(np.ones(grid.size)))
-    f = _apply_transfer(theorem_id, g, rng)
-    utility = random_member(THEOREM_CLASS[theorem_id], grid, rng)
+    f = _apply_transfer(function_class, g, rng)
+    utility = random_member(function_class, grid, rng)
     params = SearchParams(
         beta=float(rng.uniform(0.3, 0.7)),
         gamma=float(rng.uniform(0.5, 2.0)),
@@ -248,8 +262,7 @@ class SuiteConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.theorem_id not in THEOREM_CLASS:
-            raise ValueError(f"unknown theorem id {self.theorem_id!r}")
+        _theorem_class(self.theorem_id)
         if self.n_cases < 0:
             raise ValueError("n_cases must be nonnegative")
         if self.jobs < 1:
@@ -350,14 +363,11 @@ def closure_check(
     Operators: ``truncate`` (max with 0), ``affine`` (random m > 0, n >= 0),
     ``clamp`` (max with a random nonnegative level).
     """
-    if operator not in ("truncate", "affine", "clamp"):
-        raise ValueError(f"unknown operator {operator!r}; use truncate, affine or clamp")
+    if operator not in _OPERATORS:
+        raise ValueError(f"unknown operator {operator!r}; choose one of {', '.join(_OPERATORS)}")
     if samples < 1:
         raise ValueError("need at least one sample")
-    needs_pairs = "supermodular" in function_class.value or function_class in (
-        FunctionClass.ULTRAMODULAR,
-        FunctionClass.INCREASING_ULTRAMODULAR,
-    )
+    needs_pairs = "supermodular" in _FAMILIES[function_class]
     preserved = 0
     violations: list[tuple[int, Witness]] = []
     for i in range(samples):
@@ -366,15 +376,7 @@ def closure_check(
         shape = tuple(int(rng.integers(2, 5)) for _ in range(ndim))
         grid = _random_grid(rng, shape)
         member = random_member(function_class, grid, rng)
-        if operator == "truncate":
-            image = truncate(member)
-        elif operator == "affine":
-            image = affine_transform(
-                member, float(rng.uniform(0.25, 3.0)), float(rng.uniform(0.0, 2.0))
-            )
-        else:
-            image = clamp_below(member, float(rng.uniform(0.0, 3.0)))
-        result = is_member(image, function_class)
+        result = is_member(_OPERATORS[operator](member, rng), function_class)
         if result.member:
             preserved += 1
         else:
@@ -385,8 +387,8 @@ def closure_check(
         bad = truncation_counterexample()
         if not is_member(bad, function_class).member:  # pragma: no cover
             raise AssertionError("counterexample lost its class membership")
-        image = truncate(bad) if operator == "truncate" else clamp_below(bad, 0.0)
-        counterexample_witness = is_member(image, function_class).witness
+        # both operators in NOT_CLOSED map it to max(bad, 0)
+        counterexample_witness = is_member(clamp_below(bad, 0.0), function_class).witness
 
     return ClosureReport(
         function_class,

@@ -42,8 +42,8 @@ import numpy as np
 from .grids import Grid
 from .simplex import solve_lp
 
-#: Default absolute tolerance on membership constraints, shared with the
-#: dominance checker so both sides of a theorem premise use one knob.
+#: The one absolute tolerance of membership and dominance, so both premises
+#: of a theorem are decided alike; no call sets its own.
 MEMBERSHIP_TOL = 1e-9
 
 #: Candidates ``random_member`` draws before it gives up.
@@ -275,6 +275,16 @@ def local_rows(grid: Grid, function_class: FunctionClass) -> ConeMatrix:
     return ConeMatrix(idx, coeff, tuple(zip(families, stops.tolist())))
 
 
+def cone_rows(shape: tuple[int, ...], function_class: FunctionClass) -> int:
+    """``len(local_rows(grid, function_class))`` for a grid of this shape,
+    without building the quadratic convex block: one row per ordered pair."""
+    n = math.prod(shape)
+    return sum(
+        n * (n - 1) if family == "convex" else len(_family_topology(shape, family))
+        for family in _FAMILIES[function_class]
+    )
+
+
 # ---------------------------------------------------------------------------
 # membership
 # ---------------------------------------------------------------------------
@@ -285,7 +295,7 @@ class Witness:
     """A violated constraint: the lexicographically first one found.
 
     ``margin`` is the signed slack of the constraint (membership needs
-    margin >= -tol everywhere, so a witness has margin < -tol).
+    margin >= -MEMBERSHIP_TOL everywhere, so a witness's is below that).
     """
 
     constraint: str
@@ -295,13 +305,12 @@ class Witness:
 
 @dataclass(frozen=True)
 class MembershipResult:
-    """``reason`` names the LP status when a subgradient LP failed; the
-    witness of that node then has margin ``-inf``."""
+    """A verdict at the fixed ``MEMBERSHIP_TOL``.  ``reason`` names the LP
+    status when a subgradient LP failed; its node's witness margin is -inf."""
 
     member: bool
     function_class: FunctionClass
     witness: Witness | None
-    tol: float
     reason: str | None = None
 
     def __bool__(self) -> bool:
@@ -330,15 +339,15 @@ def _difference_quotients(u: TabulatedUtility) -> Iterator[tuple[np.ndarray, ...
     return itertools.product(*options)
 
 
-def _supports(d: np.ndarray, delta: np.ndarray, g: np.ndarray, tol: float) -> np.ndarray:
+def _supports(d: np.ndarray, delta: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Whether ``g`` (one row per node, or one row for all) is a subgradient
-    within ``tol`` at each node: ``max_j (g . d_j - delta_j) <= tol``."""
+    within tolerance at each node: ``max_j (g . d_j - delta_j) <= MEMBERSHIP_TOL``."""
     g = np.broadcast_to(g, (d.shape[0], d.shape[2]))
     gaps = np.einsum("ijk,ik->ij", d, g) - delta
-    return gaps.max(axis=1, initial=-np.inf) <= tol
+    return gaps.max(axis=1, initial=-np.inf) <= MEMBERSHIP_TOL
 
 
-def _convex_membership(u: TabulatedUtility, tol: float) -> MembershipResult:
+def _convex_membership(u: TabulatedUtility) -> MembershipResult:
     """Certify every node by an explicit subgradient; solve the node's LP
     only where no candidate holds."""
     grid = u.grid
@@ -350,7 +359,7 @@ def _convex_membership(u: TabulatedUtility, tol: float) -> MembershipResult:
     delta = vals[j].reshape(n, n - 1) - vals[:, None]
     certified = np.zeros(n, dtype=bool)
     for choice in _difference_quotients(u):
-        certified |= _supports(d, delta, np.stack(choice, axis=1), tol)
+        certified |= _supports(d, delta, np.stack(choice, axis=1))
         if certified.all():
             break
     for i in range(n):
@@ -363,28 +372,25 @@ def _convex_membership(u: TabulatedUtility, tol: float) -> MembershipResult:
         c[-1] = 1.0
         bounds = [(None, None)] * k + [(-1.0, None)]
         res = solve_lp(c, a_ub=a_ub, b_ub=delta[i], bounds=bounds)
-        if not res.ok or res.fun > tol:
+        if not res.ok or res.fun > MEMBERSHIP_TOL:
             margin = -float(res.fun) if res.ok else -math.inf
             reason = None if res.ok else f"LP status: {res.status}"
             witness = Witness("subgradient", (grid.node(i),), margin)
-            return MembershipResult(False, FunctionClass.CONVEX, witness, tol, reason)
+            return MembershipResult(False, FunctionClass.CONVEX, witness, reason)
         # nodes in one affine piece share this subgradient
         rest = i + 1 + np.flatnonzero(~certified[i + 1 :])
-        certified[rest] = _supports(d[rest], delta[rest], res.x[:k], tol)
-    return MembershipResult(True, FunctionClass.CONVEX, None, tol)
+        certified[rest] = _supports(d[rest], delta[rest], res.x[:k])
+    return MembershipResult(True, FunctionClass.CONVEX, None)
 
 
-def is_member(
-    u: TabulatedUtility,
-    function_class: FunctionClass,
-    tol: float = MEMBERSHIP_TOL,
-) -> MembershipResult:
+def is_member(u: TabulatedUtility, function_class: FunctionClass) -> MembershipResult:
     """Test class membership; on failure report the first violated constraint.
 
-    Local classes evaluate every row of the class's ``ConeMatrix`` at once;
-    the witness is the first row with slack below ``-tol``, so families are
-    checked in class order (increasing, supermodular, componentwise convex)
-    and rows within a family in C node order.
+    ``tol`` is ``MEMBERSHIP_TOL``, fixed, not set per call.  Local classes
+    evaluate every row of the class's ``ConeMatrix`` at once; the witness is
+    the first row with slack below ``-tol``, so families are checked in
+    class order (increasing, supermodular, componentwise convex) and rows
+    within a family in C node order.
 
     The convex class needs a subgradient g at every node i with
     ``max_j (g . (x_j - x_i) - (u_j - u_i)) <= tol``.  Each node first
@@ -398,18 +404,16 @@ def is_member(
     per node.  A failed LP ends the test as a non-member with margin
     ``-inf`` and ``reason`` naming the LP status.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if function_class is FunctionClass.CONVEX:
-        return _convex_membership(u, tol)
+        return _convex_membership(u)
     cone = local_rows(u.grid, function_class)
     margins = cone.margins(u.values_array)
-    violated = np.flatnonzero(margins < -tol)
+    violated = np.flatnonzero(margins < -MEMBERSHIP_TOL)
     if violated.size:
         r = int(violated[0])
         witness = cone.witness(u.grid, r, float(margins[r]))
-        return MembershipResult(False, function_class, witness, tol)
-    return MembershipResult(True, function_class, None, tol)
+        return MembershipResult(False, function_class, witness)
+    return MembershipResult(True, function_class, None)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +422,8 @@ def is_member(
 
 
 def truncate(u: TabulatedUtility) -> TabulatedUtility:
-    """Pointwise max(u, 0)."""
-    return tabulate(u.grid, np.maximum(u.values_array, 0.0))
+    """Pointwise max(u, 0), that is ``clamp_below(u, 0.0)``."""
+    return clamp_below(u, 0.0)
 
 
 def affine_transform(u: TabulatedUtility, m: float, n: float) -> TabulatedUtility:
@@ -433,7 +437,7 @@ def affine_transform(u: TabulatedUtility, m: float, n: float) -> TabulatedUtilit
 
 
 def clamp_below(u: TabulatedUtility, level: float) -> TabulatedUtility:
-    """Pointwise max(u, level); clamp_below(u, 0) coincides with truncate(u)."""
+    """Pointwise max(u, level)."""
     if not math.isfinite(level):
         raise ValueError(f"clamp level must be finite, got {level}")
     return tabulate(u.grid, np.maximum(u.values_array, level))

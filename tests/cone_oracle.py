@@ -190,5 +190,5 @@ def oracle_convex_membership(u, tol: float) -> MembershipResult:
         if v_star > tol:
             reason = None if res.ok else f"LP status: {res.status}"
             witness = Witness("subgradient", (grid.node(i),), -v_star)
-            return MembershipResult(False, FunctionClass.CONVEX, witness, tol, reason)
-    return MembershipResult(True, FunctionClass.CONVEX, None, tol)
+            return MembershipResult(False, FunctionClass.CONVEX, witness, reason)
+    return MembershipResult(True, FunctionClass.CONVEX, None)

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+import mcsearch.cli as cli_module
 from mcsearch.cli import (
     Options,
     Scenario,
@@ -15,6 +17,8 @@ from mcsearch.cli import (
 )
 from mcsearch.grids import SearchParams, make_grid, make_pmf
 from mcsearch.report import Report, emit_report, render_csv, render_json_lines
+from mcsearch.solver import ConvergenceError
+from mcsearch.statics import CaseRecord, SuiteReport, generate_case, verify_theorem
 
 
 def write_json(path, payload):
@@ -261,6 +265,48 @@ class TestSubcommands:
         assert run_command(["verify", path]) == 0
         out = capsys.readouterr().out
         assert "# pass = 6" in out and "# suite_passed = true" in out
+
+    def test_failing_suite_row_details_a_replayable_scenario(self, tmp_path, monkeypatch, capsys):
+        # the suite's second case is reported failed; its detail column must
+        # rebuild that case through the scenario parser
+        cases = [generate_case("T3", i, 11) for i in range(2)]
+        reports = [verify_theorem(case) for case in cases]
+        reports[1] = dataclasses.replace(reports[1], conclusion_holds=False)
+        records = tuple(CaseRecord(i, c, r) for i, (c, r) in enumerate(zip(cases, reports)))
+        monkeypatch.setattr(cli_module, "run_suite", lambda config: SuiteReport(config, records))
+        path = write_json(
+            tmp_path / "suite.json",
+            {"schema_version": 1, "options": {"theorem": "T3", "cases": 2, "seed": 11}},
+        )
+        out = tmp_path / "suite.jsonl"
+        assert run_command(["verify", path, "--out", str(out)]) == 1
+        capsys.readouterr()
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        rows = [line for line in lines if line["record"] == "row"]
+        assert [(r["verdict"], r["detail"] == "") for r in rows] == [("pass", True), ("fail", False)]
+        assert lines[-1]["suite_passed"] is False
+        detail = json.loads(rows[1]["detail"])
+        scenario = scenario_from_dict({
+            "schema_version": 1,
+            "grid": {"axes": detail["axes"]},
+            "pmfs": {"f": detail["f"], "g": detail["g"]},
+            "utility": {"family": "custom", "values": detail["utility"]},
+            "params": {key: detail[key] for key in ("beta", "gamma", "tol")},
+        })
+        case = cases[1]
+        assert scenario.grid == case.f.grid
+        assert (scenario.pmf_f, scenario.pmf_g) == (case.f, case.g)
+        assert scenario.utility.build(scenario.grid) == case.utility
+        assert scenario.params == case.params
+
+    def test_convergence_error_exits_1(self, two_point_scenario, monkeypatch, capsys):
+        def uncertified(*args):
+            raise ConvergenceError("routes disagree")
+
+        monkeypatch.setattr(cli_module, "reservation_utility", uncertified)
+        assert run_command(["solve", two_point_scenario]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: routes disagree\n")
 
     def test_verify_rejects_ambiguous_scenario(self, fosd_scenario, tmp_path, capsys):
         payload = json.loads(open(fosd_scenario).read())

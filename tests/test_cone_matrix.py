@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import mcsearch.dominance as dominance_module
 from mcsearch import FunctionClass, dominates, is_member, make_grid, make_pmf, random_member, tabulate
-from mcsearch.utility import _FAMILIES, MEMBERSHIP_TOL, _family_topology, local_rows
+from mcsearch.utility import _FAMILIES, MEMBERSHIP_TOL, _family_topology, cone_rows, local_rows
 from cone_oracle import (
     ROW_BUILDERS,
     oracle_a_ub,
@@ -87,7 +87,7 @@ class TestConeMatrix:
     def test_rows_match_oracle(self, grid, fc):
         cone = local_rows(grid, fc)
         rows = oracle_rows(grid, fc)
-        assert len(cone) == len(rows)
+        assert len(cone) == len(rows) == cone_rows(grid.shape, fc)
         counts = [len(ROW_BUILDERS[family](grid)) for family in _FAMILIES[fc]]
         assert cone.families == tuple(zip(_FAMILIES[fc], np.cumsum(counts).tolist()))
         width = cone.idx.shape[1]
@@ -154,6 +154,7 @@ class TestConeMatrix:
         cone = local_rows(grid, FunctionClass.CONVEX)
         n, k, nodes = grid.size, grid.ndim, grid.nodes
         assert cone.families == (("convex", n * (n - 1)),)
+        assert cone_rows(grid.shape, FunctionClass.CONVEX) == n * (n - 1)
         assert cone.idx.shape == cone.coeff.shape == (n * (n - 1), 2 + k)
         for node in range(n):
             rows = slice(node * (n - 1), (node + 1) * (n - 1))

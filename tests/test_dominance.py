@@ -1,7 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
+import mcsearch.dominance as dominance_module
 from mcsearch import (
+    DominanceResult,
     FunctionClass,
     concordance_transfer,
     dominates,
@@ -14,6 +18,8 @@ from mcsearch import (
     marginal,
     mean_preserving_spread,
 )
+from mcsearch.simplex import LpResult
+from mcsearch.utility import MembershipResult
 from conftest import random_grid, random_pmf
 
 FC = FunctionClass
@@ -87,10 +93,56 @@ class TestVerdicts:
         with pytest.raises(ValueError, match="guard"):
             dominates(f, f, FC.INCREASING)
 
-    def test_rejects_nonpositive_tol(self, unit_square):
-        pmf = make_pmf(unit_square, [0.25] * 4)
-        with pytest.raises(ValueError, match="tol"):
-            dominates(pmf, pmf, FC.INCREASING, tol=-1e-9)
+    def test_entry_guard_stops_before_the_cone_is_built(self, monkeypatch):
+        # 4,800 variables pass the variable guard, but the convex cone has
+        # 2,558,400 rows: a 98 GB constraint matrix
+        axis = [float(x) for x in range(40)]
+        grid = make_grid([axis, axis])
+        f = make_pmf(grid, [1.0 / grid.size] * grid.size)
+
+        def build(*args):
+            raise AssertionError("cone built past the entry guard")
+
+        monkeypatch.setattr(dominance_module, "local_rows", build)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"2558400 x 4800 constraint entries \(guard"):
+            dominates(f, f, FC.CONVEX)
+        assert time.perf_counter() - start < 2.0
+
+
+class TestInconclusive:
+    """The verdicts that certify neither dominance nor failure.  G
+    dominates F on the increasing class, so the honest verdict is ``fails``
+    at -0.25."""
+
+    @pytest.fixture
+    def pair(self):
+        grid = make_grid([[0.0, 2.0]])
+        return make_pmf(grid, [0.5, 0.5]), make_pmf(grid, [0.25, 0.75])
+
+    def test_failed_lp_names_its_status(self, pair, monkeypatch):
+        stalled = LpResult("iteration_limit", None, None)
+        monkeypatch.setattr(dominance_module, "solve_lp", lambda *a, **k: stalled)
+        res = dominates(*pair, FC.INCREASING)
+        assert res == DominanceResult("inconclusive", None, None, "LP status: iteration_limit")
+        assert not res
+
+    def test_minimum_not_confirmed_by_direct_summation(self, pair, monkeypatch):
+        # a claimed minimum whose point, summed directly, has gap 0
+        claimed = LpResult("optimal", np.zeros(2), -0.5)
+        monkeypatch.setattr(dominance_module, "solve_lp", lambda *a, **k: claimed)
+        res = dominates(*pair, FC.INCREASING)
+        assert res == DominanceResult(
+            "inconclusive", -0.5, None, "LP minimum not confirmed by direct summation"
+        )
+
+    def test_witness_failing_class_reverification(self, pair, monkeypatch):
+        rejected = MembershipResult(False, FC.INCREASING, None)
+        monkeypatch.setattr(dominance_module, "is_member", lambda u, fc: rejected)
+        res = dominates(*pair, FC.INCREASING)
+        assert res.verdict == "inconclusive" and res.witness is None
+        assert res.lp_optimum == pytest.approx(-0.25, abs=1e-9)
+        assert res.reason == "LP witness failed class re-verification"
 
 
 class TestBruteForce:

@@ -2,8 +2,10 @@ from unittest import mock
 
 import pytest
 
+import mcsearch.statics as statics_module
 import mcsearch.utility as utility_module
 from mcsearch import (
+    DominanceResult,
     FunctionClass,
     SearchParams,
     SuiteConfig,
@@ -91,6 +93,17 @@ class TestVerifyTheorem:
         assert rep.vacuous
         assert rep.reason == "membership premise inconclusive (LP status: numerical)"
 
+    def test_inconclusive_dominance_premise_names_its_reason(self):
+        grid = make_grid([[0.0, 2.0]])
+        f = make_pmf(grid, [0.25, 0.75])
+        g = make_pmf(grid, [0.5, 0.5])
+        u = tabulate_family("linear", grid, a=[1.0])
+        stalled = DominanceResult("inconclusive", None, None, "LP status: iteration_limit")
+        with mock.patch.object(statics_module, "dominates", lambda *a: stalled):
+            rep = verify_theorem(TheoremCase("T2a", f, g, u, SearchParams(0.5, 0.5)))
+        assert rep.vacuous and rep.premise_dominance is stalled and rep.premise_membership
+        assert rep.reason == "dominance premise inconclusive (LP status: iteration_limit)"
+
     def test_tolerance_slack_cannot_hide_a_conclusion_failure(self):
         # dominance holds only within tolerance slack while the conclusion
         # degrades beyond 10*tol: the report must say fail, honestly
@@ -119,9 +132,13 @@ class TestVerifyTheorem:
 
 
 class TestSuites:
-    @pytest.mark.parametrize("theorem", ALL_THEOREMS)
-    def test_generated_cases_pass(self, theorem):
-        report = run_suite(SuiteConfig(theorem, 15, seed=101))
+    @pytest.mark.parametrize(
+        "theorem, shape",
+        [(t, (3, 3)) for t in ALL_THEOREMS] + [("T3", (3, 3, 3)), ("T4", (3, 3, 3))],
+        ids=ALL_THEOREMS + ["T3-3x3x3", "T4-3x3x3"],
+    )
+    def test_generated_cases_pass(self, theorem, shape):
+        report = run_suite(SuiteConfig(theorem, 15, seed=101, grid_shape=shape))
         assert report.summary == {"pass": 15, "fail": 0, "vacuous": 0}
         assert report.passed
 

@@ -151,10 +151,6 @@ class TestMembership:
         # 2x2 axes have no slope triples, so ultramodular reduces to supermodular
         assert is_member(u, FunctionClass.INCREASING_ULTRAMODULAR).member
 
-    def test_rejects_nonpositive_tol(self, counterexample):
-        with pytest.raises(ValueError, match="tol"):
-            is_member(counterexample, FunctionClass.SUPERMODULAR, tol=0.0)
-
 
 class TestConvexMembership:
     """The convex class: candidate subgradients first, an LP per node only
