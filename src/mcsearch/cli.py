@@ -40,9 +40,11 @@ from .grids import Grid, Pmf, SearchParams, make_grid, make_pmf
 from .report import FORMATS, Report, emit_report, fmt_value, render_table
 from .solver import ConvergenceError, reservation_utility, simulate_search
 from .statics import (
+    SUITE_GRID_SHAPE,
     THEOREM_CLASS,
     SuiteConfig,
     TheoremCase,
+    VerificationReport,
     closure_check,
     run_suite,
     verify_theorem,
@@ -72,7 +74,7 @@ class Options:
     theorem: str | None = None
     seed: int = 0
     cases: int | None = None
-    grid_shape: tuple[int, ...] = (3, 3)
+    grid_shape: tuple[int, ...] = SUITE_GRID_SHAPE
     episodes: int = 100_000
     threshold: float | None = None
     samples: int = 50
@@ -211,12 +213,13 @@ def scenario_from_dict(data: Any) -> Scenario:
     if "params" in data:
         sec = data["params"]
         _expect(isinstance(sec, dict), "scenario.params", "must be an object")
-        numbers = []
-        for key in ("beta", "gamma", "tol"):
+        numbers = {}
+        for key in ("beta", "gamma", "tol"):  # tol defaults to SearchParams.tol
             _expect(key in sec or key == "tol", f"scenario.params.{key}", "required")
-            numbers.append(_number(sec.get(key, 1e-10), f"scenario.params.{key}"))
+            if key in sec:
+                numbers[key] = _number(sec[key], f"scenario.params.{key}")
         with _naming("scenario.params"):
-            params = SearchParams(*numbers)
+            params = SearchParams(**numbers)
 
     options: dict[str, Any] = {}
     if "options" in data:
@@ -271,16 +274,15 @@ def _function_class(s: Scenario) -> FunctionClass:
 
 
 def _effective_params(s: Scenario, args: argparse.Namespace) -> SearchParams:
-    base = s.params
-    beta = args.beta if args.beta is not None else (base.beta if base else None)
-    gamma = args.gamma if args.gamma is not None else (base.gamma if base else None)
-    tol = args.tol if args.tol is not None else (base.tol if base else 1e-10)
-    if beta is None or gamma is None:
+    """The scenario's params with ``--beta/--gamma/--tol`` laid over them;
+    only subcommands that solve call this, so a bad flag fails only those."""
+    flags = {key: getattr(args, key) for key in ("beta", "gamma", "tol")}
+    flags = {key: val for key, val in flags.items() if val is not None}
+    if s.params is not None:
+        return dataclasses.replace(s.params, **flags)
+    if "beta" not in flags or "gamma" not in flags:
         raise ScenarioError("scenario.params (or --beta/--gamma) is required")
-    try:
-        return SearchParams(float(beta), float(gamma), float(tol))
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+    return SearchParams(**flags)
 
 
 def _header(s: Scenario, args: argparse.Namespace, **fields: Any) -> dict[str, Any]:
@@ -342,39 +344,38 @@ def _cmd_dominate(s: Scenario, args: argparse.Namespace) -> tuple[Report, int]:
     return Report("dominance", _header(s, args, **{"class": fc.value}), ("node", "f_mass", "g_mass", "witness"), rows, summary), code
 
 
+_VERIFY_COLUMNS = ("theorem", "premise_dom", "premise_mem", "u_F", "u_G", "verdict")
+_SUITE_COLUMNS = ("case_id", *_VERIFY_COLUMNS, "detail")
+
+
+def _verify_row(rep: VerificationReport) -> dict[str, Any]:
+    """The ``_VERIFY_COLUMNS`` of one checked case."""
+    return dict(zip(_VERIFY_COLUMNS, (
+        rep.theorem_id, rep.premise_dominance.verdict, rep.premise_membership,
+        rep.u_f, rep.u_g, rep.status,
+    )))
+
+
 def _suite_rows(records) -> list[dict[str, Any]]:
+    """One row per case; a failing case's ``detail`` is the JSON of its
+    axes, masses, utility values and params, enough to replay it."""
     rows = []
     for rec in records:
-        rep = rec.report
-        row: dict[str, Any] = {
-            "case_id": rec.case_id,
-            "theorem": rep.theorem_id,
-            "premise_dom": rep.premise_dominance.verdict,
-            "premise_mem": rep.premise_membership,
-            "u_F": rep.u_f,
-            "u_G": rep.u_g,
-            "verdict": rep.status,
-            "detail": "",
-        }
-        if rep.status == "fail":
+        detail = ""
+        if rec.report.status == "fail":
             case = rec.case
-            row["detail"] = json.dumps(
+            detail = json.dumps(
                 {
                     "axes": [list(ax) for ax in case.f.grid.axes],
                     "f": list(case.f.mass),
                     "g": list(case.g.mass),
                     "utility": list(case.utility.values),
-                    "beta": case.params.beta,
-                    "gamma": case.params.gamma,
-                    "tol": case.params.tol,
+                    **dataclasses.asdict(case.params),
                 },
                 separators=(",", ":"),
             )
-        rows.append(row)
+        rows.append({"case_id": rec.case_id, **_verify_row(rec.report), "detail": detail})
     return rows
-
-
-_SUITE_COLUMNS = ("case_id", "theorem", "premise_dom", "premise_mem", "u_F", "u_G", "verdict", "detail")
 
 
 def _cmd_verify(s: Scenario, args: argparse.Namespace) -> tuple[Report, int]:
@@ -387,7 +388,7 @@ def _cmd_verify(s: Scenario, args: argparse.Namespace) -> tuple[Report, int]:
         )
 
     if s.options.cases is not None:
-        config = SuiteConfig(theorem, s.options.cases, s.options.seed, s.options.grid_shape, args.jobs)
+        config = SuiteConfig(theorem, s.options.cases, s.options.seed, s.options.grid_shape)
         suite = run_suite(config)
         header = _header(
             s, args, theorem=theorem, cases=config.n_cases, seed=config.seed,
@@ -406,24 +407,12 @@ def _cmd_verify(s: Scenario, args: argparse.Namespace) -> tuple[Report, int]:
     case = TheoremCase(theorem, f, g, utility, params)
     rep = verify_theorem(case)
     header = _header(s, args, theorem=theorem, params=params)
-    rows = [
-        {
-            "theorem": rep.theorem_id,
-            "premise_dom": rep.premise_dominance.verdict,
-            "premise_mem": rep.premise_membership,
-            "u_F": rep.u_f,
-            "u_G": rep.u_g,
-            "verdict": rep.status,
-        }
-    ]
     summary = {
         "verdict": rep.status,
         "reason": rep.reason,
     }
     code = 1 if rep.status == "fail" else 0
-    return Report(
-        "verify", header, ("theorem", "premise_dom", "premise_mem", "u_F", "u_G", "verdict"), rows, summary
-    ), code
+    return Report("verify", header, _VERIFY_COLUMNS, [_verify_row(rep)], summary), code
 
 
 def _cmd_closure(s: Scenario, args: argparse.Namespace) -> tuple[Report, int]:
@@ -516,7 +505,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="also write a machine-readable report here")
         p.add_argument("--format", default="json-lines", choices=list(FORMATS),
                        help="format of the --out report (default json-lines)")
-        p.add_argument("--jobs", type=int, default=1, help="worker threads for suites")
     return parser
 
 

@@ -86,8 +86,11 @@ def equation_residual(t: float, pmf: Pmf, u: TabulatedUtility, params: SearchPar
 def solve_fixed_point(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> tuple[float, int]:
     """Iterate psi to its fixed point; returns (u_F, iterations).
 
-    Stops once one further step certifies both |t - t*| and the equation
-    residual below the tolerance.
+    Stops at the first step of at most ``0.5 * tol * (1 - beta) / beta``.
+    In exact arithmetic psi contracts by beta, so that step bounds both
+    |t - t*| and the equation residual by tol / 2; in floats neither bound
+    is guaranteed, and ``reservation_utility``'s residual test is what
+    certifies the solve.
     """
     check_same_grid(pmf, u)
     psi = _continuation(pmf, u, params)

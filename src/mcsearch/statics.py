@@ -45,6 +45,9 @@ THEOREM_CLASS: dict[str, FunctionClass] = {
     "T4": FunctionClass.INCREASING_ULTRAMODULAR,
 }
 
+#: The grid of a generated suite case unless one is given.
+SUITE_GRID_SHAPE: tuple[int, ...] = (3, 3)
+
 #: Closure operators by name: each maps a class member and its sample's
 #: generator to the image that is tested again.
 _OPERATORS: dict[str, Callable[[TabulatedUtility, np.random.Generator], TabulatedUtility]] = {
@@ -231,7 +234,7 @@ def generate_case(
     theorem_id: str,
     case_index: int,
     seed: int,
-    grid_shape: tuple[int, ...] = (3, 3),
+    grid_shape: tuple[int, ...] = SUITE_GRID_SHAPE,
 ) -> TheoremCase:
     """Deterministically generate one premise-true case from (seed, index).
 
@@ -248,7 +251,6 @@ def generate_case(
     params = SearchParams(
         beta=float(rng.uniform(0.3, 0.7)),
         gamma=float(rng.uniform(0.5, 2.0)),
-        tol=1e-10,
     )
     return TheoremCase(theorem_id, f, g, utility, params)
 
@@ -258,7 +260,7 @@ class SuiteConfig:
     theorem_id: str
     n_cases: int
     seed: int
-    grid_shape: tuple[int, ...] = (3, 3)
+    grid_shape: tuple[int, ...] = SUITE_GRID_SHAPE
     jobs: int = 1
 
     def __post_init__(self) -> None:

@@ -475,24 +475,6 @@ def _axis_profile(rng: np.random.Generator, axis: tuple[float, ...], kind: str) 
     raise ValueError(f"unknown profile kind {kind!r}")
 
 
-def _product_of_profiles(grid: Grid, profiles: list[np.ndarray]) -> np.ndarray:
-    out = np.ones(grid.shape)
-    for k, prof in enumerate(profiles):
-        shape = [1] * grid.ndim
-        shape[k] = prof.size
-        out = out * prof.reshape(shape)
-    return out.reshape(-1)
-
-
-def _sum_of_profiles(grid: Grid, profiles: list[np.ndarray]) -> np.ndarray:
-    out = np.zeros(grid.shape)
-    for k, prof in enumerate(profiles):
-        shape = [1] * grid.ndim
-        shape[k] = prof.size
-        out = out + prof.reshape(shape)
-    return out.reshape(-1)
-
-
 def _step_indicator(grid: Grid, anchor: np.ndarray) -> np.ndarray:
     return np.all(grid.nodes >= anchor, axis=1).astype(float)
 
@@ -501,8 +483,15 @@ def _random_values(function_class: FunctionClass, grid: Grid, rng: np.random.Gen
     nodes = grid.nodes
     K = grid.ndim
 
-    def profiles(kind: str) -> list[np.ndarray]:
-        return [_axis_profile(rng, ax, kind) for ax in grid.axes]
+    def profiles(op: np.ufunc, kind: str) -> np.ndarray:
+        """``op`` (np.add or np.multiply) folded over one random ``kind``
+        profile per axis, in axis order, from the identity 0.0 or 1.0."""
+        out = np.full(grid.shape, float(op.identity))
+        for k, ax in enumerate(grid.axes):
+            shape = [1] * K
+            shape[k] = len(ax)
+            out = op(out, _axis_profile(rng, ax, kind).reshape(shape))
+        return out.reshape(-1)
 
     def steps(count: int) -> np.ndarray:
         out = np.zeros(grid.size)
@@ -522,7 +511,7 @@ def _random_values(function_class: FunctionClass, grid: Grid, rng: np.random.Gen
     if function_class is fc.INCREASING:
         v = steps(int(rng.integers(1, 4))) + nodes @ rng.uniform(0.0, 1.0, size=K)
         if rng.random() < 0.5:
-            v = v + _sum_of_profiles(grid, profiles("increasing_nonneg"))
+            v = v + profiles(np.add, "increasing_nonneg")
         return v
     if function_class is fc.CONVEX:
         v = max_affine(int(rng.integers(2, 5))) + nodes @ rng.normal(0.0, 0.5, size=K)
@@ -530,29 +519,27 @@ def _random_values(function_class: FunctionClass, grid: Grid, rng: np.random.Gen
             v = v + rng.uniform(0.2, 1.0) * max_affine(2)
         return v
     if function_class is fc.COMPONENTWISE_CONVEX:
-        v = _sum_of_profiles(grid, profiles("convex"))
+        v = profiles(np.add, "convex")
         if rng.random() < 0.5:
-            v = v + rng.uniform(0.2, 1.0) * _product_of_profiles(grid, profiles("convex_nonneg"))
+            v = v + rng.uniform(0.2, 1.0) * profiles(np.multiply, "convex_nonneg")
         return v + nodes @ rng.normal(0.0, 0.5, size=K)
     if function_class is fc.SUPERMODULAR:
-        v = _sum_of_profiles(grid, profiles("arbitrary"))
-        v = v + rng.uniform(0.2, 1.0) * _product_of_profiles(grid, profiles("increasing_nonneg"))
+        v = profiles(np.add, "arbitrary")
+        v = v + rng.uniform(0.2, 1.0) * profiles(np.multiply, "increasing_nonneg")
         if rng.random() < 0.5:
             v = v + steps(int(rng.integers(1, 3)))
         return v
     if function_class is fc.ULTRAMODULAR:
-        v = _sum_of_profiles(grid, profiles("convex"))
-        v = v + rng.uniform(0.2, 1.0) * _product_of_profiles(
-            grid, profiles("increasing_convex_nonneg")
-        )
+        v = profiles(np.add, "convex")
+        v = v + rng.uniform(0.2, 1.0) * profiles(np.multiply, "increasing_convex_nonneg")
         return v + nodes @ rng.normal(0.0, 0.5, size=K)
     if function_class is fc.INCREASING_SUPERMODULAR:
         v = steps(int(rng.integers(1, 4)))
-        v = v + rng.uniform(0.2, 1.0) * _product_of_profiles(grid, profiles("increasing_nonneg"))
+        v = v + rng.uniform(0.2, 1.0) * profiles(np.multiply, "increasing_nonneg")
         return v + nodes @ rng.uniform(0.0, 1.0, size=K)
     if function_class is fc.INCREASING_ULTRAMODULAR:
-        v = _product_of_profiles(grid, profiles("increasing_convex_nonneg"))
-        v = v + _sum_of_profiles(grid, profiles("increasing_convex_nonneg"))
+        v = profiles(np.multiply, "increasing_convex_nonneg")
+        v = v + profiles(np.add, "increasing_convex_nonneg")
         return v + nodes @ rng.uniform(0.0, 1.0, size=K)
     raise ValueError(f"no generator for {function_class}")
 

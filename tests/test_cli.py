@@ -2,6 +2,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -218,6 +219,34 @@ class TestSubcommands:
         assert run_command(["solve", fosd_scenario, "--beta", "2"]) == 2
         assert "beta must lie in (0, 1)" in capsys.readouterr().err
 
+    def test_flags_alone_need_both_beta_and_gamma(self, tmp_path, capsys):
+        path = write_json(
+            tmp_path / "no_params.json",
+            {
+                "schema_version": 1,
+                "grid": {"axes": [[0.0, 2.0]]},
+                "pmfs": {"f": [0.5, 0.5]},
+                "utility": {"family": "linear", "a": [1.0]},
+            },
+        )
+        assert run_command(["solve", path, "--beta", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: scenario.params (or --beta/--gamma) is required\n"
+        )
+
+    def test_jobs_option_is_rejected(self, fosd_scenario, tmp_path, capsys):
+        for command in ("solve", "dominate", "verify", "closure", "simulate"):
+            assert run_command([command, fosd_scenario, "--jobs", "2"]) == 2
+            assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        # suites still run on one thread and say so in their header
+        path = write_json(
+            tmp_path / "suite.json",
+            {"schema_version": 1, "options": {"theorem": "T2a", "cases": 1, "seed": 0}},
+        )
+        assert run_command(["verify", path]) == 0
+        assert "# jobs = 1" in capsys.readouterr().out.splitlines()
+
     def test_dominate_and_exit_codes(self, fosd_scenario, capsys):
         assert run_command(["dominate", fosd_scenario]) == 0
         assert "# verdict = dominates" in capsys.readouterr().out
@@ -309,7 +338,7 @@ class TestSubcommands:
         assert (captured.out, captured.err) == ("", "error: routes disagree\n")
 
     def test_verify_rejects_ambiguous_scenario(self, fosd_scenario, tmp_path, capsys):
-        payload = json.loads(open(fosd_scenario).read())
+        payload = json.loads(Path(fosd_scenario).read_text())
         payload["options"]["cases"] = 5
         path = write_json(tmp_path / "ambiguous.json", payload)
         assert run_command(["verify", path]) == 2
@@ -430,7 +459,7 @@ class TestReportDeterminism:
         for p in paths:
             assert run_command(["verify", scenario, "--out", p, "--format", "json-lines"]) == 0
         capsys.readouterr()
-        a, b = (open(p, "rb").read() for p in paths)
+        a, b = (Path(p).read_bytes() for p in paths)
         assert a == b and a
 
     def test_all_formats_deterministic(self, fosd_scenario, tmp_path, capsys):
@@ -439,7 +468,7 @@ class TestReportDeterminism:
             for i in (1, 2):
                 p = str(tmp_path / f"d{i}.{suffix}")
                 assert run_command(["dominate", fosd_scenario, "--out", p, "--format", fmt]) == 0
-                outs.append(open(p, "rb").read())
+                outs.append(Path(p).read_bytes())
             assert outs[0] == outs[1]
         capsys.readouterr()
 
@@ -468,7 +497,7 @@ class TestReportDeterminism:
         out_path = str(tmp_path / "empty.csv")
         assert run_command(["verify", scenario, "--out", out_path, "--format", "csv"]) == 0
         capsys.readouterr()
-        lines = open(out_path).read().splitlines()
+        lines = Path(out_path).read_text().splitlines()
         data = [ln for ln in lines if not ln.startswith("#")]
         assert data == ["case_id,theorem,premise_dom,premise_mem,u_F,u_G,verdict,detail"]
 

@@ -242,6 +242,13 @@ class TestSolverAgreement:
         with pytest.raises(ConvergenceError, match="did not converge"):
             solve_fixed_point(pmf, u, p)
 
+    def test_route_disagreement_fails_loudly(self, two_point, monkeypatch):
+        _, pmf, u, p = two_point
+        t_fp, _ = solve_fixed_point(pmf, u, p)
+        monkeypatch.setattr(solver_module, "solve_bisection", lambda *args: (t_fp + 1.0, 0))
+        with pytest.raises(ConvergenceError, match=r"disagree by 1\.000e\+00 > 1\.000e-09"):
+            reservation_utility(pmf, u, p)
+
     def test_bisection_stops_at_float_resolution(self):
         """At u_F ~ 774.5 the float spacing exceeds the width tol*(1-beta) =
         1e-13: bisection stops once the bracket is two adjacent floats, and
