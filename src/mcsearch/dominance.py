@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .grids import Pmf, common_grid, expectation
-from .simplex import solve_lp
+from .simplex import solve_lp, tableau_shape
 from .utility import (
     MEMBERSHIP_TOL,
     FunctionClass,
@@ -31,13 +31,6 @@ from .utility import (
     local_rows,
     tabulate,
 )
-
-#: Hard cap on LP variables (utility values plus subgradient components).
-LP_VARIABLE_GUARD = 5000
-
-#: Hard cap on the entries of the LP's dense constraint matrix (cone rows
-#: times variables): 8 MB of floats, checked before the matrix is built.
-LP_ENTRY_GUARD = 1_000_000
 
 #: Grid-size cap for the exponential upper-set enumeration.
 BRUTE_FORCE_NODE_CAP = 12
@@ -71,8 +64,10 @@ def dominates(f: Pmf, g: Pmf, function_class: FunctionClass) -> DominanceResult:
     constants and scale linearly, the box section decides the full cone.
     Every class builds this LP the same way from its ``ConeMatrix``; the
     convex class's subgradient variables are free.  A minimum of at least
-    ``-MEMBERSHIP_TOL`` (fixed, not set per call) is ``dominates``.  LPs
-    past either guard raise ``ValueError`` before the matrix is built.
+    ``-MEMBERSHIP_TOL`` (fixed, not set per call) is ``dominates``.  The
+    LP's tableau is sized by ``simplex.tableau_shape`` from the cone's row
+    count before the cone is built, and one past the solver's
+    ``TABLEAU_ENTRY_GUARD`` raises ``ValueError`` there.
     """
     grid, fe, ge = common_grid(f, g)
     n = grid.size
@@ -80,23 +75,14 @@ def dominates(f: Pmf, g: Pmf, function_class: FunctionClass) -> DominanceResult:
 
     # the convex cone adds one subgradient per node after the values
     n_vars = n + n * grid.ndim if function_class is FunctionClass.CONVEX else n
-    if n_vars > LP_VARIABLE_GUARD:
-        raise ValueError(
-            f"dominance LP would need {n_vars} variables (guard {LP_VARIABLE_GUARD}); "
-            "reduce the grid"
-        )
-    n_rows = cone_rows(grid.shape, function_class)
-    if n_rows * n_vars > LP_ENTRY_GUARD:
-        raise ValueError(
-            f"dominance LP would need {n_rows} x {n_vars} constraint entries "
-            f"(guard {LP_ENTRY_GUARD}); reduce the grid"
-        )
+    bounds = [(0.0, 1.0)] * n + [(None, None)] * (n_vars - n)
+    # b_ub = 0 and every offset is 0, so no row is flipped
+    tableau_shape(cone_rows(grid.shape, function_class), 0, bounds)
 
     cone = local_rows(grid, function_class)
     a_ub = np.zeros((len(cone), n_vars))
     # cone row >= 0 becomes -row <= 0; padding subtracts zeros
     np.subtract.at(a_ub, (np.arange(len(cone))[:, None], cone.idx), cone.coeff)
-    bounds = [(0.0, 1.0)] * n + [(None, None)] * (n_vars - n)
     c = np.concatenate([gap, np.zeros(n_vars - n)])
 
     res = solve_lp(c, a_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), bounds=bounds)

@@ -11,19 +11,24 @@ first negative reduced cost), which cannot cycle, until the next pivot that
 strictly lowers the objective; that pivot clears the record and Dantzig
 pricing resumes.  A pivot that lowers the objective cannot lie on a cycle,
 so the solve terminates; a digest collision only starts Bland's rule early.
-Meant for the modest cone programs this package generates (at most a few
-thousand variables); it trades speed for determinism and transparent
-failure modes.  Programs it cannot certify come back with a non-``optimal``
-status instead of a guess.
+Meant for the modest cone programs this package generates; it trades speed
+for determinism and transparent failure modes.  Programs it cannot certify
+come back with a non-``optimal`` status instead of a guess.
 
 The standard form comes from one variable map: a variable is shifted by its
 lower bound, reflected about an upper-only bound, or if free split into y+
 then y-; finite ranges become extra rows; slack columns follow, then
 trailing artificials.  A solve stops after the fixed cap of
 ``2000 + 50 * (rows + columns)`` pivots.
+
+The tableau is dense: ``tableau_shape`` gives its rows and columns,
+``solve_lp`` allocates exactly that, and one of more than
+``TABLEAU_ENTRY_GUARD`` entries raises ``ValueError`` before it is
+allocated.  Callers with large inputs ask ``tableau_shape`` first.
 """
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Sequence
@@ -37,6 +42,8 @@ OPT_TOL = 1e-9
 PIVOT_TOL = 1e-9
 #: Feasibility slack accepted in the final solution check.
 FEAS_TOL = 1e-7
+#: Cap on the entries of the dense tableau: 2**25 float64s, 256 MiB.
+TABLEAU_ENTRY_GUARD = 2**25
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,37 @@ class LpResult:
         return self.status == "optimal"
 
 
+def tableau_shape(
+    n_ub: int,
+    n_eq: int,
+    bounds: Sequence[tuple[float | None, float | None]],
+    flipped: int = 0,
+) -> tuple[int, int]:
+    """Rows and columns of the tableau ``solve_lp`` allocates for ``n_ub``
+    inequality rows, ``n_eq`` equality rows and these per-variable bounds.
+
+    Rows: the constraints, then one per finite range.  Columns: one per
+    variable and a second per free one, a slack per inequality and range
+    row, an artificial per equality row and per flipped row (the
+    ``flipped`` inequality rows whose right-hand side, shifted by the
+    variable offsets, is negative), then the right-hand side.  Raises
+    ``ValueError`` when rows x columns exceeds ``TABLEAU_ENTRY_GUARD``.
+    """
+    finite = [
+        (lo is not None and lo > -math.inf, hi is not None and hi < math.inf)
+        for lo, hi in bounds
+    ]
+    n_box, n_free = finite.count((True, True)), finite.count((False, False))
+    rows = n_ub + n_eq + n_box
+    cols = len(bounds) + n_free + n_ub + n_box + n_eq + flipped + 1
+    if rows * cols > TABLEAU_ENTRY_GUARD:
+        raise ValueError(
+            f"LP tableau would be {rows} x {cols} = {rows * cols} entries "
+            f"(guard {TABLEAU_ENTRY_GUARD}); reduce the grid"
+        )
+    return rows, cols
+
+
 def solve_lp(
     c: Sequence[float],
     a_ub: np.ndarray | None = None,
@@ -86,6 +124,8 @@ def solve_lp(
     free one), a slack per non-equality row, then an artificial per equality
     or negative-rhs row; rows ``a_ub``, ``a_eq``, then ``y <= hi - lo`` per
     finite range.  ``iteration_limit`` after ``2000 + 50 * (rows + cols)`` pivots.
+    A tableau past ``TABLEAU_ENTRY_GUARD`` raises ``ValueError`` before it
+    is allocated.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -118,16 +158,17 @@ def solve_lp(
 
     # --- tableau: rows flipped so b >= 0; a row whose slack survived the
     # flip with +1 starts with it basic, the others with an artificial ------
-    m_a = a_ub.shape[0] + a_eq.shape[0]
-    m = m_a + box.size
-    eq = (np.arange(m) >= a_ub.shape[0]) & (np.arange(m) < m_a)
-    slack_rows = (~eq).nonzero()[0]
-    n_cols = ny + slack_rows.size  # structural and slack columns
+    n_ub = a_ub.shape[0]
+    m_a = n_ub + a_eq.shape[0]
     b = np.concatenate([b_ub - a_ub @ offset, b_eq - a_eq @ offset, (hi - lo)[box]])
     flip = b < 0
+    m, width = tableau_shape(n_ub, a_eq.shape[0], bounds, int(flip[:n_ub].sum()))
+    eq = (np.arange(m) >= n_ub) & (np.arange(m) < m_a)
+    slack_rows = (~eq).nonzero()[0]
+    n_cols = ny + slack_rows.size  # structural and slack columns
     art_rows = (eq | flip).nonzero()[0]
-    total_cols = n_cols + art_rows.size
-    T = np.zeros((m, total_cols + 1))
+    total_cols = width - 1
+    T = np.zeros((m, width))
     T[:m_a, :ny] = np.vstack([a_ub, a_eq])[:, var] * sign
     T[m_a + np.arange(box.size), first[box]] = 1.0
     T[slack_rows, ny + np.arange(slack_rows.size)] = 1.0

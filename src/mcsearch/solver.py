@@ -36,7 +36,9 @@ class Solution:
     ``value`` tabulates max(U(x), u_F) / (1 - beta) at every node;
     ``acceptance`` is the closed upper set {x : U(x) >= u_F - tol} (ties
     accept); ``residual`` is the defect of the reservation-utility equation
-    u_F = gamma + beta/(1-beta) * E[(U - u_F)+] at the returned value.
+    u_F = gamma + beta/(1-beta) * E[(U - u_F)+] at the returned value;
+    ``iterations`` is the fixed-point steps plus the bisection steps, the
+    count ``solve`` reports print.
     """
 
     reservation_utility: float

@@ -187,6 +187,9 @@ def _apply_transfer(function_class: FunctionClass, g: Pmf, rng: np.random.Genera
         if grid.ndim < 2:
             raise ValueError("concordance transfers need at least two dimensions")
         p, q = sorted(int(x) for x in rng.choice(grid.ndim, size=2, replace=False))
+        for k in (p, q):
+            if shape[k] < 2:
+                raise ValueError(f"concordance transfers need at least 2 nodes on axis {k}")
         p_pair = sorted(int(x) for x in rng.choice(shape[p], size=2, replace=False))
         q_pair = sorted(int(x) for x in rng.choice(shape[q], size=2, replace=False))
         others = [k for k in range(grid.ndim) if k not in (p, q)]
@@ -207,6 +210,8 @@ def _apply_transfer(function_class: FunctionClass, g: Pmf, rng: np.random.Genera
         delta = donor * float(rng.uniform(0.2, 0.9))
         return concordance_transfer(g, (p, q), cell, delta, at=at or None)
     if "increasing" in families:
+        if max(shape) < 2:
+            raise ValueError("upward shifts need an axis with at least 2 nodes")
         # upward shift between distinct comparable nodes
         while True:
             multi_from = tuple(int(rng.integers(s)) for s in shape)

@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .grids import Grid
-from .simplex import solve_lp
+from .simplex import TABLEAU_ENTRY_GUARD, solve_lp
 
 #: The one absolute tolerance of membership and dominance, so both premises
 #: of a theorem are decided alike; no call sets its own.
@@ -248,12 +248,26 @@ def local_rows(grid: Grid, function_class: FunctionClass) -> ConeMatrix:
     The node indices of each family are cached by grid shape; the
     coefficients that depend on coordinates are recomputed from the grid on
     every call: ``1/h1, -(1/h1 + 1/h2), 1/h2`` for componentwise-convex rows
-    and ``1, -1, -(x_j - x_i)`` for convex rows.
+    and ``1, -1, -(x_j - x_i)`` for convex rows.  An index block of more
+    than ``simplex.TABLEAU_ENTRY_GUARD`` entries (rows x width) raises
+    ``ValueError`` before any of it is built.
     """
     families = _FAMILIES[function_class]
+    n_rows = cone_rows(grid.shape, function_class)
+    # a local row's columns are its witness nodes; a convex row adds K
+    # subgradient components to its two nodes
+    width = max(
+        2 + grid.ndim if family == "convex" else len(_FAMILY_LAYOUT[family][1])
+        for family in families
+    )
+    if n_rows * width > TABLEAU_ENTRY_GUARD:
+        raise ValueError(
+            f"{function_class.value} cone would be {n_rows} x {width} = {n_rows * width} "
+            f"entries (guard {TABLEAU_ENTRY_GUARD}); reduce the grid"
+        )
     blocks = [_family_topology(grid.shape, family) for family in families]
     stops = np.cumsum([len(block) for block in blocks])
-    idx = np.empty((stops[-1], max(block.shape[1] for block in blocks)), dtype=np.intp)
+    idx = np.empty((n_rows, width), dtype=np.intp)
     coeff = np.zeros(idx.shape)
     nodes = grid.nodes
     for family, block, stop in zip(families, blocks, stops):
@@ -275,14 +289,26 @@ def local_rows(grid: Grid, function_class: FunctionClass) -> ConeMatrix:
     return ConeMatrix(idx, coeff, tuple(zip(families, stops.tolist())))
 
 
+@functools.lru_cache(maxsize=64)
 def cone_rows(shape: tuple[int, ...], function_class: FunctionClass) -> int:
     """``len(local_rows(grid, function_class))`` for a grid of this shape,
-    without building the quadratic convex block: one row per ordered pair."""
+    counted without building any rows: one per ordered pair of nodes, per
+    2x2 cell of each pair of axes, or per run of 2 (increasing) or 3
+    (componentwise convex) consecutive nodes along each axis."""
     n = math.prod(shape)
-    return sum(
-        n * (n - 1) if family == "convex" else len(_family_topology(shape, family))
-        for family in _FAMILIES[function_class]
-    )
+
+    def count(family: str) -> int:
+        if family == "convex":
+            return n * (n - 1)
+        if family == "supermodular":
+            return sum(
+                n // (s_p * s_q) * (s_p - 1) * (s_q - 1)
+                for s_p, s_q in itertools.combinations(shape, 2)
+            )
+        span = 2 if family == "increasing" else 3
+        return sum(n // s * max(s - span + 1, 0) for s in shape)
+
+    return sum(count(family) for family in _FAMILIES[function_class])
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,28 @@ class TestSubcommands:
         assert run_command(["verify", path]) == 0
         assert "# jobs = 1" in capsys.readouterr().out.splitlines()
 
+    def test_verify_on_one_node_grid_exits_2(self, tmp_path, capsys):
+        path = write_json(
+            tmp_path / "suite.json",
+            {"schema_version": 1, "options": {"theorem": "T2a", "cases": 1, "grid_shape": [1]}},
+        )
+        assert run_command(["verify", path]) == 2
+        assert "upward shifts need an axis with at least 2 nodes" in capsys.readouterr().err
+
+    def test_dominance_lp_past_the_tableau_guard_exits_2(self, tmp_path, capsys):
+        n = 79
+        path = write_json(
+            tmp_path / "convex.json",
+            {
+                "schema_version": 1,
+                "grid": {"axes": [list(range(n))]},
+                "pmfs": {"f": [1.0 / n] * n, "g": [1.0 / n] * n},
+                "options": {"class": "convex"},
+            },
+        )
+        assert run_command(["dominate", path]) == 2
+        assert "LP tableau would be 6241 x 6479" in capsys.readouterr().err
+
     def test_dominate_and_exit_codes(self, fosd_scenario, capsys):
         assert run_command(["dominate", fosd_scenario]) == 0
         assert "# verdict = dominates" in capsys.readouterr().out

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mcsearch.dominance as dominance_module
+import mcsearch.simplex as simplex_module
 from mcsearch import (
     DominanceResult,
     FunctionClass,
@@ -87,15 +88,17 @@ class TestVerdicts:
         assert dominates(f, g, FC.INCREASING).verdict == "fails"
 
     def test_variable_guard(self):
+        # 10,224 cone rows and 5,184 box rows over 5,184 values and 15,408
+        # slacks: 317 M tableau entries
         axis = list(range(72))
         grid = make_grid([axis, axis])
         f = make_pmf(grid, [1.0 / grid.size] * grid.size)
-        with pytest.raises(ValueError, match="guard"):
+        with pytest.raises(ValueError, match=r"15408 x 20593 = 317296944 entries \(guard"):
             dominates(f, f, FC.INCREASING)
 
     def test_entry_guard_stops_before_the_cone_is_built(self, monkeypatch):
-        # 4,800 variables pass the variable guard, but the convex cone has
-        # 2,558,400 rows: a 98 GB constraint matrix
+        # the convex cone has 2,558,400 rows: a 98 GB constraint matrix and
+        # a 2,560,000 x 2,568,001 tableau
         axis = [float(x) for x in range(40)]
         grid = make_grid([axis, axis])
         f = make_pmf(grid, [1.0 / grid.size] * grid.size)
@@ -105,9 +108,49 @@ class TestVerdicts:
 
         monkeypatch.setattr(dominance_module, "local_rows", build)
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=r"2558400 x 4800 constraint entries \(guard"):
+        with pytest.raises(ValueError, match=r"LP tableau would be 2560000 x 2568001 = \d+ entries \(guard"):
             dominates(f, f, FC.CONVEX)
         assert time.perf_counter() - start < 2.0
+
+    def test_tableau_guard_counts_the_tableau_not_the_constraints(self, monkeypatch):
+        # 6,162 x 158 constraint entries, but a 6,241 x 6,479 tableau (308 MiB)
+        grid = make_grid([[float(x) for x in range(79)]])
+        f = make_pmf(grid, [1.0 / grid.size] * grid.size)
+
+        def build(*args):
+            raise AssertionError("cone built past the tableau guard")
+
+        monkeypatch.setattr(dominance_module, "local_rows", build)
+        with pytest.raises(ValueError, match=r"LP tableau would be 6241 x 6479 = 40435439 entries"):
+            dominates(f, f, FC.CONVEX)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3), (3, 3), (2, 2, 2)])
+    def test_predicted_tableau_is_the_one_allocated(self, shape, monkeypatch):
+        """The shape ``dominates`` checks before it builds the cone is the
+        shape of the tableau the simplex then pivots on."""
+        predicted, allocated = [], []
+        predict, pivot = dominance_module.tableau_shape, simplex_module._pivot
+
+        def recording_predict(*args):
+            predicted.append(predict(*args))
+            return predicted[-1]
+
+        def recording_pivot(T, *args):
+            allocated.append(T.shape)
+            pivot(T, *args)
+
+        monkeypatch.setattr(dominance_module, "tableau_shape", recording_predict)
+        monkeypatch.setattr(simplex_module, "_pivot", recording_pivot)
+        rng = np.random.default_rng(13)
+        grid = random_grid(rng, shape)
+        for fc in FC:
+            predicted.clear()
+            allocated.clear()
+            dominates(random_pmf(grid, rng), random_pmf(grid, rng), fc)
+            # the first pivot is the dominance LP's; later ones may belong
+            # to the witness's membership LPs
+            assert len(predicted) == 1 and allocated, fc
+            assert allocated[0] == predicted[0], fc
 
 
 class TestInconclusive:

@@ -1,11 +1,14 @@
+import time
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from cone_oracle import oracle_convex_program
 from conftest import random_grid, random_pmf
+import mcsearch.simplex as simplex_module
 from mcsearch.grids import common_grid, derive_rng, make_grid, make_pmf
-from mcsearch.simplex import LpResult, solve_lp
+from mcsearch.simplex import LpResult, solve_lp, tableau_shape
 from mcsearch.statics import generate_case
 
 #: Beale's example (1955): Dantzig pricing with lowest-index ties cycles
@@ -290,3 +293,44 @@ class TestValidation:
     def test_bounds_length(self):
         with pytest.raises(ValueError, match="one bounds pair"):
             solve_lp([1.0, 1.0], bounds=[(0.0, None)])
+
+    def test_tableau_guard_counts_the_tableau_not_the_inputs(self):
+        # tiny inputs, but 6,000 range rows with 6,000 slacks
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"6000 x 12001 = 72006000 entries \(guard 33554432\)"):
+            solve_lp(np.zeros(6000), bounds=[(0.0, 1.0)] * 6000)
+        assert time.perf_counter() - start < 1.0
+
+
+class TestTableauShape:
+    def test_boxed_program_without_rows(self):
+        assert tableau_shape(0, 0, [(0.0, 1.0)] * 4095) == (4095, 8191)
+        with pytest.raises(ValueError, match="4096 x 8193"):
+            tableau_shape(0, 0, [(0.0, 1.0)] * 4096)
+
+    def test_convex_dominance_lps_at_the_edge(self):
+        # the 4x4x4 convex LP: 64 values in [0, 1], 192 free subgradients
+        assert tableau_shape(64 * 63, 0, [(0.0, 1.0)] * 64 + [(None, None)] * 192) == (4096, 4545)
+        # 1-D convex: 75 nodes fit, 76 do not
+        assert tableau_shape(75 * 74, 0, [(0.0, 1.0)] * 75 + [(None, None)] * 75) == (5625, 5851)
+        with pytest.raises(ValueError, match="5776 x 6005"):
+            tableau_shape(76 * 75, 0, [(0.0, 1.0)] * 76 + [(None, None)] * 76)
+
+    def test_shape_of_a_program_with_every_column_kind(self, monkeypatch):
+        # x0 >= 0, x1 free (two columns), x2 <= 3 (one column), x3 in
+        # [-1, 1] (a range row); two inequality rows with slacks, the second
+        # (x0 >= 1) flipped onto an artificial; one equality row
+        bounds = [(0.0, None), (None, None), (None, 3.0), (-1.0, 1.0)]
+        a_ub, b_ub = [[1.0, 1.0, 1.0, 1.0], [-1.0, 0.0, 0.0, 0.0]], [5.0, -1.0]
+        a_eq, b_eq = [[1.0, 1.0, 0.0, 0.0]], [2.0]
+        shapes = []
+        pivot = simplex_module._pivot
+
+        def recording_pivot(T, *args):
+            shapes.append(T.shape)
+            pivot(T, *args)
+
+        monkeypatch.setattr(simplex_module, "_pivot", recording_pivot)
+        res = solve_lp([1.0, 1.0, 0.0, 1.0], a_ub, b_ub, a_eq, b_eq, bounds)
+        assert res.ok
+        assert shapes[0] == tableau_shape(2, 1, bounds, flipped=1) == (4, 5 + 3 + 2 + 1)

@@ -195,6 +195,13 @@ class TestSuites:
             rep = verify_theorem(case)
             assert not rep.vacuous, (theorem, rep.reason)
 
+    def test_transfer_needs_long_enough_axes(self):
+        # an upward shift on one node used to redraw forever
+        with pytest.raises(ValueError, match="upward shifts need an axis with at least 2 nodes"):
+            generate_case("T2a", 0, 0, (1, 1))
+        with pytest.raises(ValueError, match="concordance transfers need at least 2 nodes on axis 1"):
+            generate_case("T3", 0, 0, (3, 1))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SuiteConfig("T5", 1, 0)

@@ -265,3 +265,20 @@ class TestRandomMembers:
         a = random_member(FunctionClass.INCREASING, unit_square, np.random.default_rng(5))
         b = random_member(FunctionClass.INCREASING, unit_square, np.random.default_rng(5))
         assert a == b
+
+
+class TestConeGuard:
+    def test_convex_cone_past_the_guard_is_refused_before_it_is_built(self, monkeypatch):
+        # 3,600 nodes: 12,956,400 ordered pairs x 4 columns
+        axis = [float(x) for x in range(60)]
+        grid = make_grid([axis, axis])
+
+        def build(*args):
+            raise AssertionError("cone built past the guard")
+
+        monkeypatch.setattr(utility_module, "_family_topology", build)
+        message = r"convex cone would be 12956400 x 4 = 51825600 entries \(guard 33554432\)"
+        with pytest.raises(ValueError, match=message):
+            is_member(tabulate(grid, np.zeros(grid.size)), FunctionClass.CONVEX)
+        with pytest.raises(ValueError, match=message):
+            random_member(FunctionClass.CONVEX, grid, np.random.default_rng(0))
