@@ -138,6 +138,15 @@ def dominates_increasing_bruteforce(f: Pmf, g: Pmf) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _move_mass(g: Pmf, moves: Sequence[tuple[int, float]]) -> Pmf:
+    """``g`` with each ``(node index, delta)`` added to that node's mass,
+    in order: the one mass move of every pair generator."""
+    mass = list(g.mass)
+    for i, delta in moves:
+        mass[i] += delta
+    return Pmf(g.grid, tuple(mass))
+
+
 def fosd_shift(
     g: Pmf,
     from_node: Sequence[float],
@@ -158,10 +167,7 @@ def fosd_shift(
         )
     if g.mass[i] < eps:
         raise ValueError(f"source node holds {g.mass[i]}, cannot move {eps}")
-    mass = list(g.mass)
-    mass[i] -= eps
-    mass[j] += eps
-    return Pmf(g.grid, tuple(mass))
+    return _move_mass(g, ((i, -eps), (j, eps)))
 
 
 def mean_preserving_spread(g: Pmf, axis: int, node: Sequence[float], eps: float) -> Pmf:
@@ -191,11 +197,8 @@ def mean_preserving_spread(g: Pmf, axis: int, node: Sequence[float], eps: float)
     lo_multi[axis] -= 1
     hi_multi = list(multi)
     hi_multi[axis] += 1
-    mass = list(g.mass)
-    mass[i] -= eps
-    mass[g.grid.flat_index(lo_multi)] += eps * lam
-    mass[g.grid.flat_index(hi_multi)] += eps * (1.0 - lam)
-    return Pmf(g.grid, tuple(mass))
+    lo, hi = g.grid.flat_index(lo_multi), g.grid.flat_index(hi_multi)
+    return _move_mass(g, ((i, -eps), (lo, eps * lam), (hi, eps * (1.0 - lam))))
 
 
 def concordance_transfer(
@@ -242,9 +245,4 @@ def concordance_transfer(
     donor = min(g.mass[i_lh], g.mass[i_hl])
     if donor < delta:
         raise ValueError(f"anti-diagonal nodes hold {donor}, cannot transfer {delta}")
-    mass = list(g.mass)
-    mass[i_ll] += delta
-    mass[i_hh] += delta
-    mass[i_lh] -= delta
-    mass[i_hl] -= delta
-    return Pmf(g.grid, tuple(mass))
+    return _move_mass(g, ((i_ll, delta), (i_hh, delta), (i_lh, -delta), (i_hl, -delta)))

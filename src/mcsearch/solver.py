@@ -116,7 +116,8 @@ def solve_bisection(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> tupl
 
     Stops when the bracket is narrower than ``tol * (1 - beta)`` or, at
     large magnitudes where that width is below the float spacing, when the
-    bracket has shrunk to two adjacent floats.
+    bracket has shrunk to two adjacent floats.  Each step halves a finite
+    bracket, so that takes at most about 2,100 steps and needs no cap.
     """
     check_same_grid(pmf, u)
     psi = _continuation(pmf, u, params)
@@ -131,10 +132,6 @@ def solve_bisection(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> tupl
         if not lo < mid < hi:
             break  # floating-point resolution reached
         it += 1
-        if it > MAX_ITERATIONS:
-            raise ConvergenceError(
-                f"bisection did not reach width {width_stop:.3e} in {MAX_ITERATIONS} steps"
-            )
         if mid - psi(mid) < 0.0:
             lo = mid
         else:
@@ -142,12 +139,33 @@ def solve_bisection(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> tupl
     return 0.5 * (lo + hi), it
 
 
+def _segment_root(pmf: Pmf, u: TabulatedUtility, params: SearchParams, t: float) -> float:
+    """Root of t = psi(t) on the linear segment of psi that holds ``t``:
+    ((1 - beta)*gamma + beta*M) / ((1 - beta) + beta*T), with the mass T and
+    moment M of the values above ``t`` summed from the top of the sorted
+    values; (1 - beta)*gamma + beta*E[U] below every value, gamma above."""
+    beta, gamma = params.beta, params.gamma
+    order = np.argsort(u.values_array, kind="stable")
+    vals = u.values_array[order]
+    k = int(np.searchsorted(vals, t, side="right"))  # vals[k:] > t
+    if k == vals.size:
+        return gamma
+    mass = pmf.mass_array[order]
+    tail_mass = np.cumsum(mass[::-1])[::-1]
+    tail_moment = np.cumsum((mass * vals)[::-1])[::-1]
+    flow = (1.0 - beta) * gamma
+    if k == 0:
+        return flow + beta * float(tail_moment[0])
+    return (flow + beta * float(tail_moment[k])) / ((1.0 - beta) + beta * float(tail_mass[k]))
+
+
 def reservation_utility(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> Solution:
     """Solve for the reservation utility and assemble the full solution.
 
     Runs both the contraction iteration and the bisection cross-check; a
-    disagreement beyond 10x tolerance, or a residual above tolerance, raises
-    ``ConvergenceError`` rather than returning silently inaccurate values.
+    disagreement beyond 10x tolerance raises ``ConvergenceError``.  A fixed
+    point whose residual exceeds tolerance is replaced by its segment's exact
+    root, and a residual still above tolerance raises ``ConvergenceError``.
     """
     t_fp, it_fp = solve_fixed_point(pmf, u, params)
     t_bi, it_bi = solve_bisection(pmf, u, params)
@@ -158,6 +176,9 @@ def reservation_utility(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> 
         )
     u_f = t_fp
     residual = equation_residual(u_f, pmf, u, params)
+    if abs(residual) > params.tol:
+        u_f = _segment_root(pmf, u, params, u_f)
+        residual = equation_residual(u_f, pmf, u, params)
     if abs(residual) > params.tol:
         raise ConvergenceError(f"equation residual {residual:.3e} exceeds tol {params.tol:.3e}")
     value = tabulate(pmf.grid, np.maximum(u.values_array, u_f) / (1.0 - params.beta))

@@ -9,7 +9,6 @@ that the class structure survives truncation, affine maps and clamping.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -262,6 +261,10 @@ def generate_case(
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """``n_cases`` generated cases of one theorem from one seed.  ``jobs`` is
+    validated but inert (suites run in one thread); it stays while callers
+    set it and the schema-1 suite header prints ``jobs = 1``."""
+
     theorem_id: str
     n_cases: int
     seed: int
@@ -301,26 +304,14 @@ class SuiteReport:
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
-    """Generate and verify ``n_cases`` cases; rows come back in case order
-    regardless of how many worker threads ran them."""
-    cases = [
-        generate_case(config.theorem_id, i, config.seed, config.grid_shape)
-        for i in range(config.n_cases)
-    ]
-    if config.jobs > 1 and cases:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            reports = list(pool.map(verify_theorem, cases))
-    else:
-        reports = [verify_theorem(case) for case in cases]
-    records = tuple(
-        CaseRecord(i, case, report)
-        for i, (case, report) in enumerate(zip(cases, reports))
-    )
-    return SuiteReport(config, records)
+    """Generate and verify ``n_cases`` cases in case order, in one thread:
+    row ``i`` is ``replay_case(config, i)``."""
+    return SuiteReport(config, tuple(replay_case(config, i) for i in range(config.n_cases)))
 
 
 def replay_case(config: SuiteConfig, case_id: int) -> CaseRecord:
-    """Regenerate and re-verify one suite case bit-for-bit."""
+    """Generate and verify one suite case from its own ``derive_rng(seed,
+    case_id)`` stream: the only code that builds a suite row."""
     if not (0 <= case_id < config.n_cases):
         raise ValueError(f"case id {case_id} outside suite of {config.n_cases}")
     case = generate_case(config.theorem_id, case_id, config.seed, config.grid_shape)

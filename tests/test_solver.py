@@ -1,8 +1,9 @@
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mcsearch.solver as solver_module
@@ -34,6 +35,24 @@ def bisection_reproducer():
     grid = make_grid([axis, axis])
     pmf = make_pmf(grid, np.full(grid.size, 1.0 / grid.size))
     return pmf, tabulate_family("product", grid), SearchParams(0.999, 1.0, 1e-10)
+
+
+def exact_root(mass, values, beta, gamma):
+    """The root of t = (1-beta)*gamma + beta*sum(p * max(U, t)) in rationals:
+    the root of the one linear segment between consecutive distinct values
+    that lands inside that segment."""
+    p = [Fraction(m) for m in mass]
+    v = [Fraction(x) for x in values]
+    b = Fraction(beta)
+    flow = (1 - b) * Fraction(gamma)
+    cuts = [None] + sorted(set(v))
+    for lo, hi in zip(cuts, cuts[1:] + [None]):
+        above = [(pi, vi) for pi, vi in zip(p, v) if lo is None or vi > lo]
+        below_mass = sum(p) - sum(pi for pi, _ in above)
+        t = (flow + b * sum(pi * vi for pi, vi in above)) / (1 - b * below_mass)
+        if (lo is None or lo <= t) and (hi is None or t <= hi):
+            return t
+    raise AssertionError("no segment holds its root")
 
 
 def degenerate(c, beta, gamma):
@@ -251,15 +270,40 @@ class TestSolverAgreement:
 
     def test_bisection_stops_at_float_resolution(self):
         """At u_F ~ 774.5 the float spacing exceeds the width tol*(1-beta) =
-        1e-13: bisection stops once the bracket is two adjacent floats, and
-        the solve fails on the equation residual instead."""
+        1e-13: bisection stops once the bracket is two adjacent floats.  The
+        fixed point is inside tol of the root, but its residual, 17.65 times
+        its error there, is not; the solve is certified by the exact segment
+        root instead."""
         pmf, u, p = bisection_reproducer()
         t_bi, iterations = solve_bisection(pmf, u, p)
         assert iterations < 100
         t_fp, _ = solve_fixed_point(pmf, u, p)
         assert abs(t_bi - t_fp) <= 10 * p.tol
-        with pytest.raises(ConvergenceError, match="residual"):
-            reservation_utility(pmf, u, p)
+        assert abs(equation_residual(t_fp, pmf, u, p)) > p.tol
+        sol = reservation_utility(pmf, u, p)
+        assert abs(sol.reservation_utility - 774.5410764872521) <= p.tol
+        assert abs(sol.residual) <= p.tol
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 6)), min_size=1, max_size=7
+        ).filter(lambda cells: any(w for w, _ in cells)),
+        beta=st.floats(0.05, 0.95),
+        gamma=st.floats(0.1, 9.0),
+    )
+    @example(cells=[(1, 5), (0, 4), (1, 6)], beta=0.5, gamma=0.5)  # root 3 below min U
+    @example(cells=[(1, 1), (0, 2), (2, 2)], beta=0.5, gamma=4.0)  # root gamma above max U
+    def test_segment_root_is_exact(self, cells, beta, gamma):
+        # (weight, value) cells: small integer values tie, zero weights leave
+        # nodes without mass
+        weights, values = zip(*cells)
+        grid = make_grid([[float(i) for i in range(len(cells))]])
+        pmf = make_pmf(grid, normalize_weights(weights))
+        u = tabulate(grid, [float(v) for v in values])
+        exact = exact_root(pmf.mass, u.values, beta, gamma)
+        t = solver_module._segment_root(pmf, u, SearchParams(beta, gamma), float(exact))
+        assert abs(Fraction(t) - exact) <= 1e-13 * (1 + abs(exact))
 
 
 class TestSimulation:

@@ -172,14 +172,14 @@ class TestSuites:
 
     def test_jobs_do_not_change_report(self):
         serial = run_suite(SuiteConfig("T4", 8, seed=5, jobs=1))
-        threaded = run_suite(SuiteConfig("T4", 8, seed=5, jobs=4))
-        assert [r.report for r in serial.records] == [r.report for r in threaded.records]
+        inert = run_suite(SuiteConfig("T4", 8, seed=5, jobs=4))
+        assert [r.report for r in serial.records] == [r.report for r in inert.records]
 
     def test_replay_matches_suite_record(self):
-        config = SuiteConfig("T2c", 10, seed=77)
-        suite = run_suite(config)
-        again = replay_case(config, 4)
-        assert again == suite.records[4]
+        for jobs in (1, 4):
+            config = SuiteConfig("T2c", 10, seed=77, jobs=jobs)
+            suite = run_suite(config)
+            assert suite.records == tuple(replay_case(config, i) for i in range(10))
         with pytest.raises(ValueError, match="case id"):
             replay_case(config, 10)
 
