@@ -139,8 +139,8 @@ class SearchParams:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
         if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
             raise ValueError(f"gamma must be a positive real, got {self.gamma}")
-        if not (self.tol > 0.0):
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (0.0 < self.tol < math.inf):
+            raise ValueError(f"tol must be a positive real, got {self.tol}")
 
 
 def make_grid(axes: Sequence[Sequence[float]]) -> Grid:

@@ -6,9 +6,11 @@ The reservation utility is the fixed point of the continuation map
     psi(t) = (1 - beta) * gamma + beta * E[max(U, t)],
 
 a monotone contraction with modulus beta, so fixed-point iteration converges
-geometrically for every beta in (0, 1).  An independent bisection on the
-strictly increasing map t -> t - psi(t) cross-checks every solve; the two
-routes must agree within 10x the solver tolerance or the solve fails loudly.
+geometrically for every beta in (0, 1).  psi is piecewise linear with kinks
+only at the values of U, so the root also has a closed form on one segment;
+that exact root checks every solve, and the two must agree within 10x the
+solver tolerance or the solve fails loudly.  ``solve_bisection`` is kept as
+a public test oracle; no solve calls it.
 """
 from __future__ import annotations
 
@@ -37,8 +39,8 @@ class Solution:
     ``acceptance`` is the closed upper set {x : U(x) >= u_F - tol} (ties
     accept); ``residual`` is the defect of the reservation-utility equation
     u_F = gamma + beta/(1-beta) * E[(U - u_F)+] at the returned value;
-    ``iterations`` is the fixed-point steps plus the bisection steps, the
-    count ``solve`` reports print.
+    ``iterations`` is the fixed-point step count, which ``solve`` reports
+    print.
     """
 
     reservation_utility: float
@@ -139,51 +141,49 @@ def solve_bisection(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> tupl
     return 0.5 * (lo + hi), it
 
 
-def _segment_root(pmf: Pmf, u: TabulatedUtility, params: SearchParams, t: float) -> float:
-    """Root of t = psi(t) on the linear segment of psi that holds ``t``:
-    ((1 - beta)*gamma + beta*M) / ((1 - beta) + beta*T), with the mass T and
-    moment M of the values above ``t`` summed from the top of the sorted
-    values; (1 - beta)*gamma + beta*E[U] below every value, gamma above."""
-    beta, gamma = params.beta, params.gamma
-    order = np.argsort(u.values_array, kind="stable")
-    vals = u.values_array[order]
-    k = int(np.searchsorted(vals, t, side="right"))  # vals[k:] > t
-    if k == vals.size:
-        return gamma
-    mass = pmf.mass_array[order]
-    tail_mass = np.cumsum(mass[::-1])[::-1]
-    tail_moment = np.cumsum((mass * vals)[::-1])[::-1]
-    flow = (1.0 - beta) * gamma
-    if k == 0:
-        return flow + beta * float(tail_moment[0])
-    return (flow + beta * float(tail_moment[k])) / ((1.0 - beta) + beta * float(tail_mass[k]))
+def _segment_root(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> float:
+    """Exact root of t = gamma + beta/(1-beta) * E[(U - t)+], which is linear
+    in t between consecutive values of U.  Where the i largest values lie
+    above t, (1 - beta) times its defect is t*D_i - N_i, with
+    N_i = (1-beta)*gamma + beta*M_i and D_i = (1-beta) + beta*T_i for the
+    mass T_i and moment M_i of those values, summed from the top.  i counts
+    the values at which that defect is nonnegative, and the root is N_i/D_i
+    (gamma when no value reaches it)."""
+    beta = params.beta
+    top = np.argsort(u.values_array, kind="stable")[::-1]
+    vals = u.values_array[top]
+    mass = pmf.mass_array[top]
+    num = (1.0 - beta) * params.gamma + beta * np.cumsum(np.append(0.0, mass * vals))
+    den = (1.0 - beta) + beta * np.cumsum(np.append(0.0, mass))
+    i = int(np.count_nonzero(vals * den[1:] >= num[1:]))
+    return float(num[i] / den[i])
 
 
 def reservation_utility(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> Solution:
     """Solve for the reservation utility and assemble the full solution.
 
-    Runs both the contraction iteration and the bisection cross-check; a
-    disagreement beyond 10x tolerance raises ``ConvergenceError``.  A fixed
-    point whose residual exceeds tolerance is replaced by its segment's exact
-    root, and a residual still above tolerance raises ``ConvergenceError``.
+    Runs the contraction iteration and checks it against the exact segment
+    root; a disagreement beyond 10x tolerance raises ``ConvergenceError``.
+    The fixed point is reported unless its residual exceeds tolerance; only
+    then is it replaced by the exact root, and a residual still above
+    tolerance raises ``ConvergenceError``.
     """
-    t_fp, it_fp = solve_fixed_point(pmf, u, params)
-    t_bi, it_bi = solve_bisection(pmf, u, params)
-    if abs(t_fp - t_bi) > 10.0 * params.tol:
+    u_f, iterations = solve_fixed_point(pmf, u, params)
+    root = _segment_root(pmf, u, params)
+    if abs(u_f - root) > 10.0 * params.tol:
         raise ConvergenceError(
-            f"contraction ({t_fp!r}) and bisection ({t_bi!r}) disagree by "
-            f"{abs(t_fp - t_bi):.3e} > {10.0 * params.tol:.3e}"
+            f"contraction ({u_f!r}) and exact segment root ({root!r}) disagree by "
+            f"{abs(u_f - root):.3e} > {10.0 * params.tol:.3e}"
         )
-    u_f = t_fp
     residual = equation_residual(u_f, pmf, u, params)
     if abs(residual) > params.tol:
-        u_f = _segment_root(pmf, u, params, u_f)
+        u_f = root
         residual = equation_residual(u_f, pmf, u, params)
     if abs(residual) > params.tol:
         raise ConvergenceError(f"equation residual {residual:.3e} exceeds tol {params.tol:.3e}")
     value = tabulate(pmf.grid, np.maximum(u.values_array, u_f) / (1.0 - params.beta))
     accept = frozenset(map(tuple, pmf.grid.nodes[u.values_array >= u_f - params.tol].tolist()))
-    return Solution(u_f, value, accept, residual, it_fp + it_bi)
+    return Solution(u_f, value, accept, residual, iterations)
 
 
 def value_function(solution: Solution, node: tuple[float, ...] | list[float]) -> float:

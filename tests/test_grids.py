@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcsearch import (
+    SearchParams,
     common_grid,
     derive_rng,
     expectation,
@@ -57,6 +58,13 @@ class TestMakeGrid:
     def test_rejects_bad_axes(self, axes):
         with pytest.raises(ValueError):
             make_grid(axes)
+
+
+class TestSearchParams:
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.inf, math.nan])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match=f"tol must be a positive real, got {tol}"):
+            SearchParams(0.5, 1.0, tol)
 
 
 class TestMakePmf:

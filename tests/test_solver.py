@@ -24,6 +24,7 @@ from mcsearch import (
     value_function,
 )
 from mcsearch.grids import OfferSampler
+from mcsearch.statics import THEOREM_CLASS, generate_case, verify_theorem
 from conftest import random_grid, random_pmf
 from simulation_oracle import oracle_simulate_search
 
@@ -38,9 +39,10 @@ def bisection_reproducer():
 
 
 def exact_root(mass, values, beta, gamma):
-    """The root of t = (1-beta)*gamma + beta*sum(p * max(U, t)) in rationals:
-    the root of the one linear segment between consecutive distinct values
-    that lands inside that segment."""
+    """The root of t = gamma + beta/(1-beta) * sum(p * (U - t)+) in
+    rationals, the equation whose residual the solver certifies: the root of
+    the one linear segment between consecutive distinct values that lands
+    inside that segment."""
     p = [Fraction(m) for m in mass]
     v = [Fraction(x) for x in values]
     b = Fraction(beta)
@@ -48,8 +50,8 @@ def exact_root(mass, values, beta, gamma):
     cuts = [None] + sorted(set(v))
     for lo, hi in zip(cuts, cuts[1:] + [None]):
         above = [(pi, vi) for pi, vi in zip(p, v) if lo is None or vi > lo]
-        below_mass = sum(p) - sum(pi for pi, _ in above)
-        t = (flow + b * sum(pi * vi for pi, vi in above)) / (1 - b * below_mass)
+        above_mass = sum(pi for pi, _ in above)
+        t = (flow + b * sum(pi * vi for pi, vi in above)) / ((1 - b) + b * above_mass)
         if (lo is None or lo <= t) and (hi is None or t <= hi):
             return t
     raise AssertionError("no segment holds its root")
@@ -264,9 +266,10 @@ class TestSolverAgreement:
     def test_route_disagreement_fails_loudly(self, two_point, monkeypatch):
         _, pmf, u, p = two_point
         t_fp, _ = solve_fixed_point(pmf, u, p)
-        monkeypatch.setattr(solver_module, "solve_bisection", lambda *args: (t_fp + 1.0, 0))
-        with pytest.raises(ConvergenceError, match=r"disagree by 1\.000e\+00 > 1\.000e-09"):
+        monkeypatch.setattr(solver_module, "_segment_root", lambda *args: t_fp + 1.0)
+        with pytest.raises(ConvergenceError, match=r"disagree by 1\.000e\+00 > 1\.000e-09") as info:
             reservation_utility(pmf, u, p)
+        assert "contraction" in str(info.value) and "exact segment root" in str(info.value)
 
     def test_bisection_stops_at_float_resolution(self):
         """At u_F ~ 774.5 the float spacing exceeds the width tol*(1-beta) =
@@ -301,9 +304,55 @@ class TestSolverAgreement:
         grid = make_grid([[float(i) for i in range(len(cells))]])
         pmf = make_pmf(grid, normalize_weights(weights))
         u = tabulate(grid, [float(v) for v in values])
+        p = SearchParams(beta, gamma)
         exact = exact_root(pmf.mass, u.values, beta, gamma)
-        t = solver_module._segment_root(pmf, u, SearchParams(beta, gamma), float(exact))
+        t = solver_module._segment_root(pmf, u, p)
         assert abs(Fraction(t) - exact) <= 1e-13 * (1 + abs(exact))
+        assert abs(t - solve_bisection(pmf, u, p)[0]) <= p.tol * (1.0 - beta)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 6)), min_size=1, max_size=7
+        ).filter(lambda cells: any(w for w, _ in cells)),
+        beta=st.floats(0.05, 0.999),
+        gamma=st.floats(0.1, 9.0),
+        scale=st.floats(1.0, 1e3),
+    )
+    # residual of the fixed point 1.13e-9 > tol 1e-9: the exact root is reported
+    @example(cells=[(1, 5), (2, 6), (1, 5), (0, 6)], beta=0.999, gamma=2.0, scale=1e3)
+    def test_reported_value_contract(self, cells, beta, gamma, scale):
+        """The fixed point is the answer whenever its residual passes; the
+        exact root is reported only in its place, never as the primary
+        route."""
+        weights, values = zip(*cells)
+        grid = make_grid([[float(i) for i in range(len(cells))]])
+        pmf = make_pmf(grid, normalize_weights(weights))
+        u = tabulate(grid, [scale * v for v in values])
+        p = SearchParams(beta, scale * gamma, scale * 1e-12)
+        t_fp, steps = solve_fixed_point(pmf, u, p)
+        sol = reservation_utility(pmf, u, p)
+        assert sol.iterations == steps
+        if abs(equation_residual(t_fp, pmf, u, p)) <= p.tol:
+            assert sol.reservation_utility.hex() == t_fp.hex()
+        else:
+            exact = exact_root(pmf.mass, u.values, beta, p.gamma)
+            assert abs(Fraction(sol.reservation_utility) - exact) <= 1e-13 * exact
+
+    def test_bisection_is_off_the_solve_path(self, two_point, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("solve_bisection called")
+
+        monkeypatch.setattr(solver_module, "solve_bisection", refuse)
+        _, pmf, u, p = two_point
+        assert reservation_utility(pmf, u, p).reservation_utility == pytest.approx(1.0, abs=1e-9)
+        pmf, u, p = bisection_reproducer()
+        sol = reservation_utility(pmf, u, p)
+        assert sol.reservation_utility == 774.5410764872521
+        assert abs(sol.residual) <= p.tol
+        for theorem_id in THEOREM_CLASS:
+            report = verify_theorem(generate_case(theorem_id, 0, 0))
+            assert report.u_f is not None and report.u_g is not None
 
 
 class TestSimulation:
