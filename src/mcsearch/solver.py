@@ -141,35 +141,37 @@ def solve_bisection(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> tupl
     return 0.5 * (lo + hi), it
 
 
-def _segment_root(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> float:
-    """Exact root of t = gamma + beta/(1-beta) * E[(U - t)+], which is linear
-    in t between consecutive values of U.  Where the i largest values lie
-    above t, (1 - beta) times its defect is t*D_i - N_i, with
-    N_i = (1-beta)*gamma + beta*M_i and D_i = (1-beta) + beta*T_i for the
-    mass T_i and moment M_i of those values, summed from the top.  i counts
-    the values at which that defect is nonnegative, and the root is N_i/D_i
-    (gamma when no value reaches it)."""
+def _segment_root(pmf: Pmf, u: TabulatedUtility, params: SearchParams, total=1.0) -> float:
+    """Exact root of t = (1-beta)*gamma + beta*(M + (total - T)*t), with T and
+    M the mass and moment of the values above t: the certified equation for
+    ``total`` 1, t = psi(t) for the pmf's mass sum.  Where the i largest
+    values lie above t, the sides differ by t*D_i - N_i with
+    N_i = (1-beta)*gamma + beta*M_i and D_i = 1 - beta*total + beta*T_i; i
+    counts the values where that is nonnegative, and the root is N_i/D_i
+    (gamma*(1-beta)/D_0 when i is 0: gamma itself for ``total`` 1)."""
     beta = params.beta
     top = np.argsort(u.values_array, kind="stable")[::-1]
     vals = u.values_array[top]
     mass = pmf.mass_array[top]
     num = (1.0 - beta) * params.gamma + beta * np.cumsum(np.append(0.0, mass * vals))
-    den = (1.0 - beta) + beta * np.cumsum(np.append(0.0, mass))
+    den = (1.0 - beta * total) + beta * np.cumsum(np.append(0.0, mass))
     i = int(np.count_nonzero(vals * den[1:] >= num[1:]))
-    return float(num[i] / den[i])
+    return float(num[i] / den[i] if i else params.gamma * ((1.0 - beta) / den[0]))
 
 
 def reservation_utility(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> Solution:
     """Solve for the reservation utility and assemble the full solution.
 
-    Runs the contraction iteration and checks it against the exact segment
-    root; a disagreement beyond 10x tolerance raises ``ConvergenceError``.
+    Runs the contraction iteration and checks it against the exact root of
+    psi; a disagreement beyond 10x tolerance raises ``ConvergenceError``.
     The fixed point is reported unless its residual exceeds tolerance; only
-    then is it replaced by the exact root, and a residual still above
-    tolerance raises ``ConvergenceError``.
+    then is it replaced by the certified equation's exact root, and a
+    residual still above tolerance raises ``ConvergenceError``.
     """
     u_f, iterations = solve_fixed_point(pmf, u, params)
-    root = _segment_root(pmf, u, params)
+    # psi's own root: it parts from the certified equation's where the
+    # masses miss 1 by the rounding make_pmf admits
+    root = _segment_root(pmf, u, params, float(pmf.mass_array.sum()))
     if abs(u_f - root) > 10.0 * params.tol:
         raise ConvergenceError(
             f"contraction ({u_f!r}) and exact segment root ({root!r}) disagree by "
@@ -177,7 +179,7 @@ def reservation_utility(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> 
         )
     residual = equation_residual(u_f, pmf, u, params)
     if abs(residual) > params.tol:
-        u_f = root
+        u_f = _segment_root(pmf, u, params)
         residual = equation_residual(u_f, pmf, u, params)
     if abs(residual) > params.tol:
         raise ConvergenceError(f"equation residual {residual:.3e} exceeds tol {params.tol:.3e}")

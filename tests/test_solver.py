@@ -296,7 +296,8 @@ class TestSolverAgreement:
         gamma=st.floats(0.1, 9.0),
     )
     @example(cells=[(1, 5), (0, 4), (1, 6)], beta=0.5, gamma=0.5)  # root 3 below min U
-    @example(cells=[(1, 1), (0, 2), (2, 2)], beta=0.5, gamma=4.0)  # root gamma above max U
+    # root gamma above max U, where (1-beta)*gamma/(1-beta) rounds one ulp above gamma
+    @example(cells=[(1, 1), (0, 2), (2, 2)], beta=0.2, gamma=3.0)
     def test_segment_root_is_exact(self, cells, beta, gamma):
         # (weight, value) cells: small integer values tie, zero weights leave
         # nodes without mass
@@ -309,6 +310,29 @@ class TestSolverAgreement:
         t = solver_module._segment_root(pmf, u, p)
         assert abs(Fraction(t) - exact) <= 1e-13 * (1 + abs(exact))
         assert abs(t - solve_bisection(pmf, u, p)[0]) <= p.tol * (1.0 - beta)
+        if max(values) + 1 <= gamma:  # no value reaches the root: gamma to the bit
+            assert t.hex() == gamma.hex()
+
+    @pytest.mark.parametrize(
+        "values, beta, gamma, tol, expected",
+        [
+            ([0.0, 0.5, 1.0], 0.95, 5.0, 1e-10, 5.0),  # root gamma above max U
+            ([0.0, 0.5, 1.0], 0.999, 5.0, 1e-9, 5.0),
+            ([5.0, 6.0, 7.0], 0.5, 1.0, 1e-9, 3.4999999997),  # root below min U
+            ([5.0, 6.0, 7.0], 0.9, 1.0, 1e-9, 5.714285714218367),
+        ],
+    )
+    def test_masses_short_of_one(self, values, beta, gamma, tol, expected):
+        """make_pmf admits masses that miss 1 by up to MASS_TOL.  The
+        contraction then converges to the root of psi, which lies up to
+        beta*t*(1 - sum)/(1 - beta) from the certified equation's root
+        (5e-7 at beta = 0.999): the cross-check compares it with psi's own
+        root, and a failing residual is polished to the equation's."""
+        grid = make_grid([[0.0, 1.0, 2.0]])
+        pmf = make_pmf(grid, [0.3333333333] * 3)
+        sol = reservation_utility(pmf, tabulate(grid, values), SearchParams(beta, gamma, tol))
+        assert sol.reservation_utility.hex() == expected.hex()
+        assert abs(sol.residual) <= tol
 
     @settings(max_examples=100, deadline=None)
     @given(
