@@ -12,7 +12,6 @@ from .dominance import (
     DominanceResult,
     concordance_transfer,
     dominates,
-    dominates_increasing_bruteforce,
     fosd_shift,
     mean_preserving_spread,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "continuation_map",
     "derive_rng",
     "dominates",
-    "dominates_increasing_bruteforce",
     "equation_residual",
     "expectation",
     "fosd_shift",

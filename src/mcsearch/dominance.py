@@ -1,4 +1,4 @@
-"""Stochastic-dominance checks over function classes, via dual-cone LPs.
+"""Stochastic-dominance checks over function classes.
 
 ``F`` dominates ``G`` on a class when E_F[U] >= E_G[U] for every U in the
 class.  On a finite grid the class is a polyhedral cone, the class's one
@@ -8,10 +8,12 @@ invariant under positive affine rescaling, the quantified statement reduces
 to one linear program: minimize the expectation gap over the cone
 intersected with the box 0 <= U <= 1.  A nonnegative minimum proves
 dominance; a negative one yields a witness utility function violating it.
+On grids of at most two axes the increasing and increasing-supermodular
+minima have closed forms, over staircase upper sets and upper orthants
+(Müller & Stoyan 2002, §3.9); every other query solves the LP.
 
-Also provides the brute-force upper-set oracle for the increasing order and
-the three constructive generators of dominance pairs (upward mass shift,
-mean-preserving spread, concordance transfer).
+Also provides the three constructive generators of dominance pairs (upward
+mass shift, mean-preserving spread, concordance transfer).
 """
 from __future__ import annotations
 
@@ -20,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import Pmf, common_grid, expectation
-from .simplex import solve_lp, tableau_shape
+from .grids import Grid, Pmf, common_grid, expectation
+from .simplex import LpResult, solve_lp, tableau_shape
 from .utility import (
     MEMBERSHIP_TOL,
     FunctionClass,
@@ -32,16 +34,14 @@ from .utility import (
     tabulate,
 )
 
-#: Grid-size cap for the exponential upper-set enumeration.
-BRUTE_FORCE_NODE_CAP = 12
-
 
 @dataclass(frozen=True)
 class DominanceResult:
-    """Verdict of a dominance query with its LP certificate.
+    """Verdict of a dominance query with its certificate.
 
     verdict is ``dominates``, ``fails`` or ``inconclusive``; ``lp_optimum``
-    is the minimal expectation gap over the normalized class section, and
+    is the minimal expectation gap over the normalized class section (0.0,
+    the gap of U = 0, on a closed-form ``dominates``), and
     ``witness`` (present exactly when the verdict is ``fails``) is a class
     member whose expectation gap is below ``-MEMBERSHIP_TOL``.
     """
@@ -58,21 +58,62 @@ class DominanceResult:
 def dominates(f: Pmf, g: Pmf, function_class: FunctionClass) -> DominanceResult:
     """Decide whether ``f`` dominates ``g`` on a function class.
 
-    The pmfs are first embedded on their common grid.  The LP minimizes
-    ``sum((f_i - g_i) * U_i)`` over the class cone intersected with
-    ``0 <= U <= 1``; since expectation gaps are invariant under adding
-    constants and scale linearly, the box section decides the full cone.
-    Every class builds this LP the same way from its ``ConeMatrix``; the
-    convex class's subgradient variables are free.  A minimum of at least
-    ``-MEMBERSHIP_TOL`` (fixed, not set per call) is ``dominates``.  The
-    LP's tableau is sized by ``simplex.tableau_shape`` from the cone's row
-    count before the cone is built, and one past the solver's
-    ``TABLEAU_ENTRY_GUARD`` raises ``ValueError`` there.
+    The pmfs are first embedded on their common grid.  The decision is the
+    minimum of ``sum((f_i - g_i) * U_i)`` over the class cone intersected
+    with ``0 <= U <= 1``; since expectation gaps are invariant under adding
+    constants and scale linearly, the box section decides the full cone.  A
+    minimum of at least ``-MEMBERSHIP_TOL`` (fixed, not set per call) is
+    ``dominates``.
+
+    On grids of at most two axes the ``increasing`` and
+    ``increasing_supermodular`` minima have closed forms (a 1-D grid is
+    their one-row case): the least gap over the staircase upper sets
+    (``_staircase_minimum``) and over the upper orthants
+    (``_orthant_minimum``).  Their ``dominates`` reports the gap of
+    ``U = 0``, 0.0.  Every other class and grid solves the cone LP
+    (``_cone_lp``).  On ``fails`` the minimiser is the witness, and it is
+    certified the same way on either route.
     """
     grid, fe, ge = common_grid(f, g)
-    n = grid.size
     gap = fe.mass_array - ge.mass_array
+    closed_form = _CLOSED_FORMS.get(function_class) if grid.ndim <= 2 else None
+    if closed_form is not None:
+        optimum, values = closed_form(gap.reshape(-1, grid.shape[-1]))
+        if optimum >= -MEMBERSHIP_TOL:
+            return DominanceResult("dominates", 0.0, None)
+    else:
+        res = _cone_lp(grid, gap, function_class)
+        if not res.ok:
+            return DominanceResult("inconclusive", None, None, reason=f"LP status: {res.status}")
+        optimum, values = res.fun, res.x[: grid.size]
+        if optimum >= -MEMBERSHIP_TOL:
+            return DominanceResult("dominates", optimum, None)
+    # certify the counterexample before reporting a failure: the witness must
+    # re-test as a class member and its gap, recomputed by direct summation,
+    # must genuinely fall below -MEMBERSHIP_TOL
+    witness = tabulate(grid, values)
+    recomputed = expectation(fe, witness) - expectation(ge, witness)
+    if recomputed >= -MEMBERSHIP_TOL:
+        return DominanceResult(
+            "inconclusive", optimum, None, reason="LP minimum not confirmed by direct summation"
+        )
+    if not is_member(witness, function_class):
+        return DominanceResult(
+            "inconclusive", optimum, None, reason="LP witness failed class re-verification"
+        )
+    return DominanceResult("fails", recomputed, witness)
 
+
+def _cone_lp(grid: Grid, gap: np.ndarray, function_class: FunctionClass) -> LpResult:
+    """Minimize ``gap . U`` over the class cone within ``0 <= U <= 1``.
+
+    Every class builds this LP the same way from its ``ConeMatrix``; the
+    convex class's subgradient variables are free and follow the values in
+    ``x``.  The tableau is sized by ``simplex.tableau_shape`` from the
+    cone's row count before the cone is built, and one past the solver's
+    ``TABLEAU_ENTRY_GUARD`` raises ``ValueError`` there.
+    """
+    n = grid.size
     # the convex cone adds one subgradient per node after the values
     n_vars = n + n * grid.ndim if function_class is FunctionClass.CONVEX else n
     bounds = [(0.0, 1.0)] * n + [(None, None)] * (n_vars - n)
@@ -84,53 +125,63 @@ def dominates(f: Pmf, g: Pmf, function_class: FunctionClass) -> DominanceResult:
     # cone row >= 0 becomes -row <= 0; padding subtracts zeros
     np.subtract.at(a_ub, (np.arange(len(cone))[:, None], cone.idx), cone.coeff)
     c = np.concatenate([gap, np.zeros(n_vars - n)])
-
-    res = solve_lp(c, a_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), bounds=bounds)
-    if not res.ok:
-        return DominanceResult("inconclusive", None, None, reason=f"LP status: {res.status}")
-    if res.fun >= -MEMBERSHIP_TOL:
-        return DominanceResult("dominates", res.fun, None)
-    # certify the counterexample before reporting a failure: the witness must
-    # re-test as a class member and its gap, recomputed by direct summation,
-    # must genuinely fall below -MEMBERSHIP_TOL
-    witness = tabulate(grid, res.x[:n])
-    recomputed = expectation(fe, witness) - expectation(ge, witness)
-    if recomputed >= -MEMBERSHIP_TOL:
-        return DominanceResult(
-            "inconclusive", res.fun, None, reason="LP minimum not confirmed by direct summation"
-        )
-    if not is_member(witness, function_class):
-        return DominanceResult(
-            "inconclusive", res.fun, None, reason="LP witness failed class re-verification"
-        )
-    return DominanceResult("fails", recomputed, witness)
+    return solve_lp(c, a_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), bounds=bounds)
 
 
-def dominates_increasing_bruteforce(f: Pmf, g: Pmf) -> bool:
-    """Increasing-order dominance by direct upper-set enumeration.
+def _orthant_minimum(gap: np.ndarray) -> tuple[float, np.ndarray]:
+    """Least gap over the increasing-supermodular class on an (n, m) grid,
+    and the flat values of its minimiser.
 
-    True iff F puts at least as much mass as G (within MEMBERSHIP_TOL) on
-    every upper set of the componentwise node order.  Exponential in the
-    node count, hence the small-grid guard; an independent oracle for the LP.
+    The cone is spanned by the constants and the upper-orthant indicators
+    ``1{x >= a, y >= b}``, so the box section's vertices are 0 and those
+    indicators, and the minimum is that of the survival gap
+    ``D(a, b) = S_F(a, b) - S_G(a, b)``: two reversed cumulative sums.
+    Ties go to the last orthant in C order (on one row, the smallest).
     """
-    grid, fe, ge = common_grid(f, g)
-    n = grid.size
-    if n > BRUTE_FORCE_NODE_CAP:
-        raise ValueError(
-            f"upper-set enumeration needs <= {BRUTE_FORCE_NODE_CAP} nodes, grid has {n}"
-        )
-    nodes = grid.nodes
-    greater = [
-        [j for j in range(n) if np.all(nodes[j] >= nodes[i])] for i in range(n)
-    ]
-    fm, gm = fe.mass_array, ge.mass_array
-    for bits in range(1 << n):
-        members = [i for i in range(n) if bits >> i & 1]
-        if any(not bits >> j & 1 for i in members for j in greater[i]):
-            continue  # not upward closed
-        if fm[members].sum() < gm[members].sum() - MEMBERSHIP_TOL:
-            return False
-    return True
+    survival = gap[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1].reshape(-1)
+    corner = survival.size - 1 - int(np.argmin(survival[::-1]))
+    a, b = divmod(corner, gap.shape[1])
+    values = np.zeros(gap.shape)
+    values[a:, b:] = 1.0
+    return float(survival[corner]), values.reshape(-1)
+
+
+def _staircase_minimum(gap: np.ndarray) -> tuple[float, np.ndarray]:
+    """Least gap over the increasing class on an (n, m) grid, and the flat
+    values of its minimiser.
+
+    The box section's vertices are the indicators of the upper sets, and on
+    a product of two chains each upper set is a staircase: row ``i`` holds
+    its columns from ``t_i`` on, with ``m >= t_0 >= t_1 >= ... >= t_{n-1}``.
+    Row by row, the least gap on rows ``0..i`` of a staircase whose row
+    ``i`` starts at ``t`` is row ``i``'s tail sum from ``t`` plus the
+    minimum, over ``s >= t``, of the previous row's least gaps.  Ties go to the largest start, row
+    by row from the last, which picks the smallest minimising upper set.
+    """
+    n, m = gap.shape
+    tails = np.zeros((n, m + 1))
+    tails[:, :m] = gap[:, ::-1].cumsum(axis=1)[:, ::-1]
+    best = tails[0]
+    back = np.empty((n, m + 1), dtype=np.intp)
+    for i in range(1, n):
+        suffix = np.minimum.accumulate(best[::-1])[::-1]
+        # suffix is nondecreasing: its last entry equal to suffix[t] is the
+        # largest s >= t where the previous row attains it
+        back[i] = np.searchsorted(suffix, suffix, side="right") - 1
+        best = tails[i] + suffix
+    start = np.empty(n, dtype=np.intp)
+    start[-1] = m - int(np.argmin(best[::-1]))
+    for i in range(n - 1, 0, -1):
+        start[i - 1] = back[i, start[i]]
+    values = (np.arange(m) >= start[:, None]).astype(float)
+    return float(best[start[-1]]), values.reshape(-1)
+
+
+#: The classes whose minimum has a closed form on grids of at most two axes.
+_CLOSED_FORMS = {
+    FunctionClass.INCREASING: _staircase_minimum,
+    FunctionClass.INCREASING_SUPERMODULAR: _orthant_minimum,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -165,8 +165,9 @@ def reservation_utility(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> 
     Runs the contraction iteration and checks it against the exact root of
     psi; a disagreement beyond 10x tolerance raises ``ConvergenceError``.
     The fixed point is reported unless its residual exceeds tolerance; only
-    then is it replaced by the certified equation's exact root, and a
-    residual still above tolerance raises ``ConvergenceError``.
+    then is it replaced by the certified equation's exact root, or by a
+    float next to it whose residual is smaller, and a residual still above
+    tolerance raises ``ConvergenceError``.
     """
     u_f, iterations = solve_fixed_point(pmf, u, params)
     # psi's own root: it parts from the certified equation's where the
@@ -181,6 +182,12 @@ def reservation_utility(pmf: Pmf, u: TabulatedUtility, params: SearchParams) -> 
     if abs(residual) > params.tol:
         u_f = _segment_root(pmf, u, params)
         residual = equation_residual(u_f, pmf, u, params)
+        # N/D rounds after two rounded sums, and near beta = 1 the residual
+        # magnifies that error: a neighbouring float can fit better
+        for near in (np.nextafter(u_f, -math.inf), np.nextafter(u_f, math.inf)):
+            near_residual = equation_residual(float(near), pmf, u, params)
+            if abs(near_residual) < abs(residual):
+                u_f, residual = float(near), near_residual
     if abs(residual) > params.tol:
         raise ConvergenceError(f"equation residual {residual:.3e} exceeds tol {params.tol:.3e}")
     value = tabulate(pmf.grid, np.maximum(u.values_array, u_f) / (1.0 - params.beta))

@@ -10,6 +10,11 @@ matrix against these rows bit for bit.
 ``oracle_convex_membership`` is the convex membership test as one
 subgradient LP per node, before candidate subgradients certified most
 nodes without an LP.
+
+``dominates_increasing_bruteforce`` decides the increasing order by
+enumerating upper sets, on grids of up to 12 nodes: the oracle for the
+staircase minimum on grids of at most two axes and for the cone LP on
+grids of three or more.
 """
 from __future__ import annotations
 
@@ -18,8 +23,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mcsearch.grids import common_grid
 from mcsearch.simplex import solve_lp
-from mcsearch.utility import _FAMILIES, FunctionClass, MembershipResult, Witness
+from mcsearch.utility import _FAMILIES, MEMBERSHIP_TOL, FunctionClass, MembershipResult, Witness
+
+#: Grid-size cap for the exponential upper-set enumeration.
+BRUTE_FORCE_NODE_CAP = 12
+
+#: The classes ``dominates`` decides in closed form on grids of at most
+#: two axes.
+CLOSED_FORM_CLASSES = (FunctionClass.INCREASING, FunctionClass.INCREASING_SUPERMODULAR)
+
+
+def builds_cone_lp(grid, function_class: FunctionClass) -> bool:
+    """Whether ``dominates`` solves the cone LP for this class and grid."""
+    return grid.ndim > 2 or function_class not in CLOSED_FORM_CLASSES
 
 
 @dataclass(frozen=True)
@@ -192,3 +210,30 @@ def oracle_convex_membership(u, tol: float) -> MembershipResult:
             witness = Witness("subgradient", (grid.node(i),), -v_star)
             return MembershipResult(False, FunctionClass.CONVEX, witness, reason)
     return MembershipResult(True, FunctionClass.CONVEX, None)
+
+
+def dominates_increasing_bruteforce(f, g) -> bool:
+    """Increasing-order dominance by direct upper-set enumeration.
+
+    True iff F puts at least as much mass as G (within MEMBERSHIP_TOL) on
+    every upper set of the componentwise node order.  Exponential in the
+    node count, hence the small-grid guard.
+    """
+    grid, fe, ge = common_grid(f, g)
+    n = grid.size
+    if n > BRUTE_FORCE_NODE_CAP:
+        raise ValueError(
+            f"upper-set enumeration needs <= {BRUTE_FORCE_NODE_CAP} nodes, grid has {n}"
+        )
+    nodes = grid.nodes
+    greater = [
+        [j for j in range(n) if np.all(nodes[j] >= nodes[i])] for i in range(n)
+    ]
+    fm, gm = fe.mass_array, ge.mass_array
+    for bits in range(1 << n):
+        members = [i for i in range(n) if bits >> i & 1]
+        if any(not bits >> j & 1 for i in members for j in greater[i]):
+            continue  # not upward closed
+        if fm[members].sum() < gm[members].sum() - MEMBERSHIP_TOL:
+            return False
+    return True

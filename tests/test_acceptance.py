@@ -16,7 +16,6 @@ from mcsearch import (
     closure_check,
     concordance_transfer,
     dominates,
-    dominates_increasing_bruteforce,
     is_member,
     make_grid,
     make_pmf,
@@ -31,6 +30,7 @@ from mcsearch import (
     truncation_counterexample,
 )
 from mcsearch.cli import run_command
+from cone_oracle import dominates_increasing_bruteforce
 from conftest import random_grid, random_pmf
 
 

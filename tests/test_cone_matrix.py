@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import mcsearch.dominance as dominance_module
@@ -16,6 +16,7 @@ from mcsearch import FunctionClass, dominates, is_member, make_grid, make_pmf, r
 from mcsearch.utility import _FAMILIES, MEMBERSHIP_TOL, _family_topology, cone_rows, local_rows
 from cone_oracle import (
     ROW_BUILDERS,
+    builds_cone_lp,
     oracle_a_ub,
     oracle_convex_membership,
     oracle_convex_program,
@@ -128,6 +129,7 @@ class TestConeMatrix:
     def test_dominance_matrix_matches_oracle(self, grid, fc, seed):
         """The LP ``dominates`` hands to the solver for a local class, bit
         for bit: the negated cone rows over the values in [0, 1]."""
+        assume(builds_cone_lp(grid, fc))
         f, g = _random_pmfs(grid, seed)
         a_ub = oracle_a_ub(grid, fc)
         want = (f.mass_array - g.mass_array, a_ub, np.zeros(len(a_ub)), [(0.0, 1.0)] * grid.size)

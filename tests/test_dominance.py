@@ -2,15 +2,17 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mcsearch.dominance as dominance_module
 import mcsearch.simplex as simplex_module
 from mcsearch import (
     DominanceResult,
     FunctionClass,
+    common_grid,
     concordance_transfer,
     dominates,
-    dominates_increasing_bruteforce,
     expectation,
     fosd_shift,
     is_member,
@@ -18,9 +20,13 @@ from mcsearch import (
     make_pmf,
     marginal,
     mean_preserving_spread,
+    random_member,
+    tabulate,
 )
 from mcsearch.simplex import LpResult
-from mcsearch.utility import MembershipResult
+from mcsearch.statics import generate_case
+from mcsearch.utility import MEMBERSHIP_TOL, MembershipResult
+from cone_oracle import CLOSED_FORM_CLASSES, builds_cone_lp, dominates_increasing_bruteforce
 from conftest import random_grid, random_pmf
 
 FC = FunctionClass
@@ -89,12 +95,30 @@ class TestVerdicts:
 
     def test_variable_guard(self):
         # 10,224 cone rows and 5,184 box rows over 5,184 values and 15,408
-        # slacks: 317 M tableau entries
+        # slacks: 317 M tableau entries.  The leading axis of one node puts
+        # the 72x72 increasing cone on a grid of three axes, which the LP
+        # decides.
         axis = list(range(72))
-        grid = make_grid([axis, axis])
+        grid = make_grid([[0.0], axis, axis])
         f = make_pmf(grid, [1.0 / grid.size] * grid.size)
         with pytest.raises(ValueError, match=r"15408 x 20593 = 317296944 entries \(guard"):
             dominates(f, f, FC.INCREASING)
+
+    def test_closed_form_decides_past_the_guard(self, monkeypatch):
+        # the 72x72 increasing query whose LP tableau the guard refuses
+        axis = list(range(72))
+        grid = make_grid([axis, axis])
+        f = make_pmf(grid, [1.0 / grid.size] * grid.size)
+
+        def build(*args, **kwargs):
+            raise AssertionError("cone LP built on a closed-form route")
+
+        monkeypatch.setattr(dominance_module, "solve_lp", build)
+        monkeypatch.setattr(dominance_module, "local_rows", build)
+        start = time.perf_counter()
+        res = dominates(f, f, FC.INCREASING)
+        assert time.perf_counter() - start < 0.1
+        assert res == DominanceResult("dominates", 0.0, None)
 
     def test_entry_guard_stops_before_the_cone_is_built(self, monkeypatch):
         # the convex cone has 2,558,400 rows: a 98 GB constraint matrix and
@@ -143,7 +167,7 @@ class TestVerdicts:
         monkeypatch.setattr(simplex_module, "_pivot", recording_pivot)
         rng = np.random.default_rng(13)
         grid = random_grid(rng, shape)
-        for fc in FC:
+        for fc in (fc for fc in FC if builds_cone_lp(grid, fc)):
             predicted.clear()
             allocated.clear()
             dominates(random_pmf(grid, rng), random_pmf(grid, rng), fc)
@@ -154,9 +178,9 @@ class TestVerdicts:
 
 
 class TestInconclusive:
-    """The verdicts that certify neither dominance nor failure.  G
-    dominates F on the increasing class, so the honest verdict is ``fails``
-    at -0.25."""
+    """The verdicts that certify neither dominance nor failure.  On two
+    points the increasing-ultramodular cone is the increasing one, and G
+    dominates F there, so the honest verdict is ``fails`` at -0.25."""
 
     @pytest.fixture
     def pair(self):
@@ -166,7 +190,7 @@ class TestInconclusive:
     def test_failed_lp_names_its_status(self, pair, monkeypatch):
         stalled = LpResult("iteration_limit", None, None)
         monkeypatch.setattr(dominance_module, "solve_lp", lambda *a, **k: stalled)
-        res = dominates(*pair, FC.INCREASING)
+        res = dominates(*pair, FC.INCREASING_ULTRAMODULAR)
         assert res == DominanceResult("inconclusive", None, None, "LP status: iteration_limit")
         assert not res
 
@@ -174,18 +198,98 @@ class TestInconclusive:
         # a claimed minimum whose point, summed directly, has gap 0
         claimed = LpResult("optimal", np.zeros(2), -0.5)
         monkeypatch.setattr(dominance_module, "solve_lp", lambda *a, **k: claimed)
-        res = dominates(*pair, FC.INCREASING)
+        res = dominates(*pair, FC.INCREASING_ULTRAMODULAR)
         assert res == DominanceResult(
             "inconclusive", -0.5, None, "LP minimum not confirmed by direct summation"
         )
 
     def test_witness_failing_class_reverification(self, pair, monkeypatch):
-        rejected = MembershipResult(False, FC.INCREASING, None)
+        rejected = MembershipResult(False, FC.INCREASING_ULTRAMODULAR, None)
         monkeypatch.setattr(dominance_module, "is_member", lambda u, fc: rejected)
-        res = dominates(*pair, FC.INCREASING)
+        res = dominates(*pair, FC.INCREASING_ULTRAMODULAR)
         assert res.verdict == "inconclusive" and res.witness is None
         assert res.lp_optimum == pytest.approx(-0.25, abs=1e-9)
         assert res.reason == "LP witness failed class re-verification"
+
+
+#: 1-D grids and 2-D grids from 1x2 to 8x8.
+CLOSED_FORM_SHAPES = st.one_of(
+    st.tuples(st.integers(2, 8)), st.tuples(st.integers(1, 8), st.integers(2, 8))
+)
+
+
+class TestClosedForms:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        shape=CLOSED_FORM_SHAPES,
+        fc=st.sampled_from(CLOSED_FORM_CLASSES),
+        generated=st.booleans(),
+        swap=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_cone_lp(self, shape, fc, generated, swap, seed):
+        """Verdict, optimum and witness against the cone LP, on random pairs
+        and on the suites' dominating pairs, either way round.  Witnesses
+        may part only on a tie, where the LP's vertex is another minimiser."""
+        if generated and (fc is FC.INCREASING or min(shape) >= 2 and len(shape) == 2):
+            case = generate_case("T2a" if fc is FC.INCREASING else "T3", 0, seed, shape)
+            f, g = case.f, case.g
+        else:
+            rng = np.random.default_rng(seed)
+            grid = random_grid(rng, shape)
+            f, g = random_pmf(grid, rng), random_pmf(grid, rng)
+        if swap:
+            f, g = g, f
+        res = dominates(f, g, fc)
+        grid, fe, ge = common_grid(f, g)
+        gap = fe.mass_array - ge.mass_array
+        lp = dominance_module._cone_lp(grid, gap, fc)
+        assert lp.ok
+        assert res.verdict == ("dominates" if lp.fun >= -MEMBERSHIP_TOL else "fails")
+        assert abs(res.lp_optimum - lp.fun) <= 1e-9
+        if res.verdict == "dominates":
+            return
+        vertex, witness = lp.x[: grid.size], res.witness.values_array
+        if vertex.tobytes() != witness.tobytes():
+            assert np.isin(vertex, (0.0, 1.0)).all() and is_member(tabulate(grid, vertex), fc)
+            assert abs(float(gap @ vertex) - float(gap @ witness)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_summation_by_parts(self, shape, seed):
+        """E_F phi - E_G phi = sum of dphi * D, with dphi phi's mixed
+        difference (its first difference on the low edges, phi itself at the
+        corner) and D the upper-orthant survival gap, all summed directly.
+        A member's dphi is nonnegative off the corner, where D is the total
+        gap, 0: so D >= 0 certifies dominance, and the closed form's minimum
+        is D's."""
+        rng = np.random.default_rng(seed)
+        grid = random_grid(rng, shape)
+        f, g = random_pmf(grid, rng), random_pmf(grid, rng)
+        phi = random_member(FC.INCREASING_SUPERMODULAR, grid, rng)
+        n, m = shape
+        values = phi.values_array.reshape(shape)
+        gap = (f.mass_array - g.mass_array).reshape(shape)
+
+        def at(a, b):
+            return values[a, b] if a >= 0 and b >= 0 else 0.0
+
+        total = 0.0
+        survival = np.empty(shape)
+        for a in range(n):
+            for b in range(m):
+                dphi = at(a, b) - at(a - 1, b) - at(a, b - 1) + at(a - 1, b - 1)
+                if (a, b) != (0, 0):
+                    assert dphi >= -MEMBERSHIP_TOL
+                survival[a, b] = sum(gap[x, y] for x in range(a, n) for y in range(b, m))
+                total += dphi * survival[a, b]
+        direct = expectation(f, phi) - expectation(g, phi)
+        assert abs(direct - total) <= 1e-12 * (1.0 + np.abs(values).max())
+        minimum, _ = dominance_module._orthant_minimum(gap)
+        assert abs(minimum - survival.min()) <= 1e-15
 
 
 class TestBruteForce:

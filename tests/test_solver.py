@@ -334,6 +334,20 @@ class TestSolverAgreement:
         assert sol.reservation_utility.hex() == expected.hex()
         assert abs(sol.residual) <= tol
 
+    def test_polish_steps_to_the_better_neighbour(self):
+        """Near beta = 1 the segment root, 1.5 ulps below the exact root,
+        fails a tight residual test on its own; its upper neighbour passes."""
+        scale = 3.12139
+        grid = make_grid([[float(i) for i in range(6)]])
+        pmf = make_pmf(grid, [m / 8 for m in (1, 1, 0, 1, 2, 3)])
+        u = tabulate(grid, [scale * v for v in (5, 1, 4, 1, 2, 2)])
+        p = SearchParams(0.999, 3.5503 * scale, 3.12e-13)
+        sol = reservation_utility(pmf, u, p)
+        assert abs(sol.residual) <= p.tol
+        assert sol.residual == equation_residual(sol.reservation_utility, pmf, u, p)
+        exact = exact_root(pmf.mass, u.values, p.beta, p.gamma)
+        assert abs(Fraction(sol.reservation_utility) - exact) <= np.spacing(sol.reservation_utility)
+
     @settings(max_examples=100, deadline=None)
     @given(
         cells=st.lists(
