@@ -22,10 +22,10 @@ Each class, the convex one included, has one cone representation, a
 subgradients, one ``K``-vector per node.  Node indices depend only on the
 grid shape, are built by index arithmetic on its C-order strides and kept
 in a small LRU cache of read-only arrays; spacing-dependent coefficients
-are computed on every call.  The convex membership test reads its pairs
-from the matrix, tries difference quotients as candidate subgradients and
-solves an LP per node only where none holds.  Composite classes are
-conjunctions.
+are computed on every call.  The convex membership test checks candidate
+subgradients on the cone's rows by ``ConeMatrix.margins``, as the local
+classes do, and solves an LP per node only where none holds.  Composite
+classes are conjunctions.
 """
 from __future__ import annotations
 
@@ -161,16 +161,16 @@ def tabulate_family(
 # cone matrices
 # ---------------------------------------------------------------------------
 
-#: Per family: the coefficients shared by all its rows (componentwise-convex
-#: and convex ones depend on the coordinates) and the columns of its witness
-#: nodes.  Rows are stored in summation order, (upper, lower),
-#: (ll, hh, lh, hl) and (j, i, subgradient of i); witnesses list
-#: (lower, upper), (ll, lh, hl, hh) and the node i.
+#: Per local family: the coefficients shared by all its rows
+#: (componentwise-convex ones depend on the coordinates) and the columns of
+#: its witness nodes.  Rows are stored in summation order, (upper, lower)
+#: and (ll, hh, lh, hl); witnesses list (lower, upper) and (ll, lh, hl, hh).
+#: Convex rows (j, i, subgradient of i) are built apart: their witness is a
+#: node's subgradient LP, not a row.
 _FAMILY_LAYOUT: dict[str, tuple[tuple[float, ...] | None, list[int]]] = {
     "increasing": ((1.0, -1.0), [1, 0]),
     "supermodular": ((1.0, 1.0, -1.0, -1.0), [0, 2, 3, 1]),
     "componentwise_convex": (None, [0, 1, 2]),
-    "convex": (None, [1]),
 }
 
 
@@ -274,12 +274,15 @@ def local_rows(grid: Grid, function_class: FunctionClass) -> ConeMatrix:
         rows, w = slice(stop - len(block), stop), block.shape[1]
         idx[rows, :w] = block
         idx[rows, w:] = block[:, -1:]
-        shared = _FAMILY_LAYOUT[family][0]
         if family == "convex":
-            ones = np.ones(len(block))
-            diff = nodes[block[:, 0]] - nodes[block[:, 1]]
-            shared = np.column_stack([ones, -ones, -diff])
-        elif shared is None:
+            # -(x_j - x_i), not x_i - x_j: a zero difference stays -0.0
+            coeff[rows, :2] = (1.0, -1.0)
+            grad = coeff[rows, 2:]
+            np.subtract(nodes[block[:, 0]], nodes[block[:, 1]], out=grad)
+            np.negative(grad, out=grad)
+            continue
+        shared = _FAMILY_LAYOUT[family][0]
+        if shared is None:
             # a row's nodes differ only along its axis, so the largest
             # coordinate difference of two of them is their axis spacing
             inv_h1 = 1.0 / (nodes[block[:, 1]] - nodes[block[:, 0]]).max(axis=1)
@@ -365,27 +368,24 @@ def _difference_quotients(u: TabulatedUtility) -> Iterator[tuple[np.ndarray, ...
     return itertools.product(*options)
 
 
-def _supports(d: np.ndarray, delta: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Whether ``g`` (one row per node, or one row for all) is a subgradient
-    within tolerance at each node: ``max_j (g . d_j - delta_j) <= MEMBERSHIP_TOL``."""
-    g = np.broadcast_to(g, (d.shape[0], d.shape[2]))
-    gaps = np.einsum("ijk,ik->ij", d, g) - delta
-    return gaps.max(axis=1, initial=-np.inf) <= MEMBERSHIP_TOL
-
-
 def _convex_membership(u: TabulatedUtility) -> MembershipResult:
     """Certify every node by an explicit subgradient; solve the node's LP
     only where no candidate holds."""
     grid = u.grid
     n, k = grid.size, grid.ndim
     cone = local_rows(grid, FunctionClass.CONVEX)
-    j = cone.idx[:, 0]
     vals = u.values_array
-    d = (-cone.coeff[:, 2:]).reshape(n, n - 1, k)
-    delta = vals[j].reshape(n, n - 1) - vals[:, None]
+
+    def supports(g: np.ndarray) -> np.ndarray:
+        """Whether ``g`` (one row per node, or one row for all) leaves every
+        row of each node's block a slack of at least ``-MEMBERSHIP_TOL``."""
+        field = np.broadcast_to(g, (n, k)).reshape(-1)
+        slack = cone.margins(np.concatenate([vals, field])).reshape(n, n - 1)
+        return slack.min(axis=1, initial=np.inf) >= -MEMBERSHIP_TOL
+
     certified = np.zeros(n, dtype=bool)
     for choice in _difference_quotients(u):
-        certified |= _supports(d, delta, np.stack(choice, axis=1))
+        certified |= supports(np.stack(choice, axis=1))
         if certified.all():
             break
     for i in range(n):
@@ -393,11 +393,12 @@ def _convex_membership(u: TabulatedUtility) -> MembershipResult:
             continue
         # min v s.t. g . (x_j - x_i) - (u_j - u_i) <= v for all j, with v
         # floored at -1 to keep the program bounded
-        a_ub = np.hstack([d[i], -np.ones((n - 1, 1))])
+        rows = slice(i * (n - 1), (i + 1) * (n - 1))
+        a_ub = np.hstack([-cone.coeff[rows, 2:], -np.ones((n - 1, 1))])
         c = np.zeros(k + 1)
         c[-1] = 1.0
         bounds = [(None, None)] * k + [(-1.0, None)]
-        res = solve_lp(c, a_ub=a_ub, b_ub=delta[i], bounds=bounds)
+        res = solve_lp(c, a_ub=a_ub, b_ub=vals[cone.idx[rows, 0]] - vals[i], bounds=bounds)
         if not res.ok or res.fun > MEMBERSHIP_TOL:
             margin = -float(res.fun) if res.ok else -math.inf
             reason = None if res.ok else f"LP status: {res.status}"
@@ -405,7 +406,7 @@ def _convex_membership(u: TabulatedUtility) -> MembershipResult:
             return MembershipResult(False, FunctionClass.CONVEX, witness, reason)
         # nodes in one affine piece share this subgradient
         rest = i + 1 + np.flatnonzero(~certified[i + 1 :])
-        certified[rest] = _supports(d[rest], delta[rest], res.x[:k])
+        certified[rest] = supports(res.x[:k])[rest]
     return MembershipResult(True, FunctionClass.CONVEX, None)
 
 
@@ -421,14 +422,15 @@ def is_member(u: TabulatedUtility, function_class: FunctionClass) -> MembershipR
     The convex class needs a subgradient g at every node i with
     ``max_j (g . (x_j - x_i) - (u_j - u_i)) <= tol``.  Each node first
     tries the one-sided difference quotients on every axis (2^K
-    combinations), summed directly.  Nodes that none certifies are walked
-    in C order, each solving the subgradient LP min_g max(that maximum,
-    -1); an optimum above ``tol`` is the witness, with margin ``-v*``, and
-    otherwise the LP's subgradient becomes a candidate for every later
-    node.  A candidate only certifies a node whose LP optimum is at most
-    ``tol``, so the first failing node and its margin are those of one LP
-    per node.  A failed LP ends the test as a non-member with margin
-    ``-inf`` and ``reason`` naming the LP status.
+    combinations), on the cone's rows by ``ConeMatrix.margins``.  Nodes
+    that none certifies are walked in C order, each solving the subgradient
+    LP min_g max(that maximum, -1) over its own rows; an optimum above
+    ``tol`` is the witness, with margin ``-v*``, and otherwise the LP's
+    subgradient becomes a candidate for every later node.  A candidate only
+    certifies a node whose LP optimum is at most ``tol``, so the first
+    failing node and its margin are those of one LP per node.  A failed LP
+    ends the test as a non-member with margin ``-inf`` and ``reason``
+    naming the LP status.
     """
     if function_class is FunctionClass.CONVEX:
         return _convex_membership(u)

@@ -168,6 +168,27 @@ class TestConeMatrix:
             assert _bits(-cone.coeff[rows, 2:]) == _bits(diff)
 
     @PROPERTY
+    @given(grid=grids(), seed=st.integers(0, 2**32 - 1))
+    def test_convex_margins_are_pair_slacks(self, grid, seed):
+        """``margins`` over the values and one subgradient per node gives,
+        on each convex row (j, i), ``((u_j - u_i) - d_0*g_i0) - d_1*g_i1
+        ...`` with ``d = x_j - x_i``, bit for bit."""
+        rng = np.random.default_rng(seed)
+        n, k, nodes = grid.size, grid.ndim, grid.nodes
+        u, g = rng.normal(size=n), rng.normal(size=(n, k))
+        cone = local_rows(grid, FunctionClass.CONVEX)
+        got = cone.margins(np.concatenate([u, g.reshape(-1)]))
+        want = []
+        for i in range(n):
+            for j in range(n):
+                if j != i:
+                    slack = u[j] - u[i]
+                    for c in range(k):
+                        slack -= (nodes[j, c] - nodes[i, c]) * g[i, c]
+                    want.append(slack)
+        assert _bits(got) == _bits(np.array(want))
+
+    @PROPERTY
     @given(
         grid=grids(
             st.one_of(

@@ -17,6 +17,8 @@ from mcsearch import (
     truncate,
 )
 from mcsearch.simplex import LpResult
+from mcsearch.statics import _random_grid
+from cone_oracle import oracle_convex_membership
 from conftest import random_grid
 
 ALL_CLASSES = list(FunctionClass)
@@ -178,6 +180,29 @@ class TestConvexMembership:
         with mock.patch.object(utility_module, "solve_lp", wraps=utility_module.solve_lp) as lp:
             assert is_member(u, FunctionClass.CONVEX).member
         assert lp.call_count == 0
+
+    def test_lp_subgradient_certifies_later_node(self):
+        """Three nodes no difference quotient certifies, two LPs: the first
+        LP's subgradient is what certifies the third node."""
+        rng = np.random.default_rng(1)
+        grid = _random_grid(rng, (4, 4))
+        u = random_member(FunctionClass.CONVEX, grid, rng)
+        nodes, vals = grid.nodes, u.values_array
+
+        def supports(i, g):
+            return all(
+                vals[j] - vals[i] - g @ (nodes[j] - nodes[i]) >= -utility_module.MEMBERSHIP_TOL
+                for j in range(grid.size)
+            )
+
+        fields = [np.stack(c, axis=1) for c in utility_module._difference_quotients(u)]
+        uncertified = [i for i in range(grid.size) if not any(supports(i, g[i]) for g in fields)]
+        assert len(uncertified) == 3
+        with mock.patch.object(utility_module, "solve_lp", wraps=utility_module.solve_lp) as lp:
+            res = is_member(u, FunctionClass.CONVEX)
+        assert lp.call_count == 2
+        assert res == oracle_convex_membership(u, utility_module.MEMBERSHIP_TOL)
+        assert res.member
 
     def test_failed_lp_names_its_status(self):
         # max(x1, x2): no difference quotient certifies (0, 0), so its LP runs
