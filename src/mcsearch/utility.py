@@ -24,7 +24,8 @@ grid shape, are built by index arithmetic on its C-order strides and kept
 in a small LRU cache of read-only arrays; spacing-dependent coefficients
 are computed on every call.  The convex membership test checks candidate
 subgradients on the cone's rows by ``ConeMatrix.margins``, as the local
-classes do, and solves an LP per node only where none holds.  Composite
+classes do: difference quotients first, then the subgradients of certified
+grid neighbours; it solves an LP per node only where none holds.  Composite
 classes are conjunctions.
 """
 from __future__ import annotations
@@ -368,31 +369,72 @@ def _difference_quotients(u: TabulatedUtility) -> Iterator[tuple[np.ndarray, ...
     return itertools.product(*options)
 
 
+#: Rows of the convex cone that one ``offer`` gathers at a time, so a
+#: candidate offered to many nodes copies a bounded share of the cone.
+_OFFER_CHUNK_ROWS = 1 << 16
+
+
 def _convex_membership(u: TabulatedUtility) -> MembershipResult:
-    """Certify every node by an explicit subgradient; solve the node's LP
-    only where no candidate holds."""
+    """Certify every node by an explicit subgradient: a difference
+    quotient, else a certified neighbour's subgradient; solve a node's LP
+    only where none holds."""
     grid = u.grid
     n, k = grid.size, grid.ndim
     cone = local_rows(grid, FunctionClass.CONVEX)
     vals = u.values_array
-
-    def supports(g: np.ndarray) -> np.ndarray:
-        """Whether ``g`` (one row per node, or one row for all) leaves every
-        row of each node's block a slack of at least ``-MEMBERSHIP_TOL``."""
-        field = np.broadcast_to(g, (n, k)).reshape(-1)
-        slack = cone.margins(np.concatenate([vals, field])).reshape(n, n - 1)
-        return slack.min(axis=1, initial=np.inf) >= -MEMBERSHIP_TOL
-
+    block_rows = np.arange(n - 1)
+    chunk = max(1, _OFFER_CHUNK_ROWS // max(n - 1, 1))
+    held = np.zeros((n, k))
     certified = np.zeros(n, dtype=bool)
+
+    def offer(nodes: np.ndarray, g: np.ndarray) -> bool:
+        """Certify each of ``nodes`` whose candidate ``g`` (one row per
+        node) leaves every row of the node's own block a slack of at least
+        ``-MEMBERSHIP_TOL``; whether any was."""
+        field = np.zeros((n, k))
+        field[nodes] = g
+        v = np.concatenate([vals, field.reshape(-1)])
+        hit = np.empty(len(nodes), dtype=bool)
+        for start in range(0, len(nodes), chunk):
+            part = nodes[start : start + chunk]
+            rows = (part[:, None] * (n - 1) + block_rows).reshape(-1)
+            block = ConeMatrix(cone.idx[rows], cone.coeff[rows], cone.families)
+            slack = block.margins(v).reshape(len(part), n - 1)
+            hit[start : start + chunk] = slack.min(axis=1, initial=np.inf) >= -MEMBERSHIP_TOL
+        certified[nodes[hit]] = True
+        held[nodes[hit]] = g[hit]
+        return bool(hit.any())
+
     for choice in _difference_quotients(u):
-        certified |= supports(np.stack(choice, axis=1))
-        if certified.all():
+        rest = np.flatnonzero(~certified)
+        if not rest.size:
             break
-    for i in range(n):
-        if certified[i]:
-            continue
+        offer(rest, np.stack(choice, axis=1)[rest])
+    # grid neighbours are the successor edges (upper, lower) of the
+    # increasing family; an edge's step is its axis's C-order stride
+    edges = _family_topology(grid.shape, "increasing")
+    step = edges[:, 0] - edges[:, 1]
+    neighbours = []
+    for axis, extent in enumerate(grid.shape):
+        if extent > 1:
+            upper, lower = edges[step == math.prod(grid.shape[axis + 1 :])].T
+            neighbours += [(lower, upper), (upper, lower)]
+    while True:
+        # nodes in one affine piece share a subgradient: pass each held one
+        # to the uncertified neighbours, axis by axis, until none takes it
+        grew = True
+        while grew:
+            grew = False
+            for node, other in neighbours:
+                open_ = ~certified[node] & certified[other]
+                if open_.any():
+                    grew |= offer(node[open_], held[other[open_]])
+        rest = np.flatnonzero(~certified)
+        if not rest.size:
+            return MembershipResult(True, FunctionClass.CONVEX, None)
         # min v s.t. g . (x_j - x_i) - (u_j - u_i) <= v for all j, with v
         # floored at -1 to keep the program bounded
+        i = int(rest[0])
         rows = slice(i * (n - 1), (i + 1) * (n - 1))
         a_ub = np.hstack([-cone.coeff[rows, 2:], -np.ones((n - 1, 1))])
         c = np.zeros(k + 1)
@@ -404,10 +446,8 @@ def _convex_membership(u: TabulatedUtility) -> MembershipResult:
             reason = None if res.ok else f"LP status: {res.status}"
             witness = Witness("subgradient", (grid.node(i),), margin)
             return MembershipResult(False, FunctionClass.CONVEX, witness, reason)
-        # nodes in one affine piece share this subgradient
-        rest = i + 1 + np.flatnonzero(~certified[i + 1 :])
-        certified[rest] = supports(res.x[:k])[rest]
-    return MembershipResult(True, FunctionClass.CONVEX, None)
+        certified[i] = True
+        held[i] = res.x[:k]
 
 
 def is_member(u: TabulatedUtility, function_class: FunctionClass) -> MembershipResult:
@@ -422,15 +462,19 @@ def is_member(u: TabulatedUtility, function_class: FunctionClass) -> MembershipR
     The convex class needs a subgradient g at every node i with
     ``max_j (g . (x_j - x_i) - (u_j - u_i)) <= tol``.  Each node first
     tries the one-sided difference quotients on every axis (2^K
-    combinations), on the cone's rows by ``ConeMatrix.margins``.  Nodes
-    that none certifies are walked in C order, each solving the subgradient
-    LP min_g max(that maximum, -1) over its own rows; an optimum above
-    ``tol`` is the witness, with margin ``-v*``, and otherwise the LP's
-    subgradient becomes a candidate for every later node.  A candidate only
-    certifies a node whose LP optimum is at most ``tol``, so the first
-    failing node and its margin are those of one LP per node.  A failed LP
-    ends the test as a non-member with margin ``-inf`` and ``reason``
-    naming the LP status.
+    combinations), checked on its own rows of the cone by
+    ``ConeMatrix.margins``.  Then each uncertified node is offered the
+    subgradient of its certified neighbour, one axis and direction at a
+    time, in rounds until a round certifies none: a kink node of a
+    max-affine U shares an affine piece with a neighbour, and so its
+    subgradient.  Only then does the first node still uncertified, in C
+    order, solve the subgradient LP min_g max(that maximum, -1) over its
+    own rows; an optimum above ``tol`` is the witness, with margin
+    ``-v*``, and otherwise the LP's subgradient is held for that node and
+    the rounds resume.  A candidate only certifies a node whose LP optimum
+    is at most ``tol``, so the first failing node and its margin are those
+    of one LP per node.  A failed LP ends the test as a non-member with
+    margin ``-inf`` and ``reason`` naming the LP status.
     """
     if function_class is FunctionClass.CONVEX:
         return _convex_membership(u)

@@ -5,7 +5,9 @@ the scenario next to them: the suites before the class cones became
 index-array matrices, the ``solve``, ``dominate``, single-case
 ``verify``, ``simulate`` and table/csv reports before the scenario layer
 moved to one option table, and the convex ``verify`` suite and ``dominate``
-failure before the convex cone became a ``ConeMatrix``.  Scenario paths appear in the report header, so
+failure before the convex cone became a ``ConeMatrix``, and the convex
+clamp closure before convex membership passed subgradients between
+neighbouring nodes.  Scenario paths appear in the report header, so
 each command runs from the data directory with a relative path.
 """
 import contextlib
@@ -23,6 +25,7 @@ FORMAT_OF = {".jsonl": "json-lines", ".csv": "csv", ".txt": "table"}
 #: (subcommand, scenario stem, golden report file, expected exit code)
 CASES = [("verify", f"verify_{t}", f"verify_{t}.jsonl", 0) for t in ("T2a", "T2b", "T2c", "T3", "T4")] + [
     ("closure", "closure_supermodular_truncate", "closure_supermodular_truncate.jsonl", 0),
+    ("closure", "closure_convex_clamp", "closure_convex_clamp.jsonl", 0),
     ("solve", "solve_product", "solve_product.jsonl", 0),
     ("dominate", "dominate_supermodular", "dominate_supermodular.jsonl", 0),
     ("dominate", "dominate_increasing_fails", "dominate_increasing_fails.jsonl", 1),

@@ -81,11 +81,13 @@ class TestVerifyTheorem:
         assert rep.vacuous and "membership premise fails" in rep.reason
 
     def test_failed_membership_lp_names_its_status(self):
-        grid = make_grid([[0.0, 1.0, 2.0], [0.0, 1.0]])
-        g = make_pmf(grid, [0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-        f = make_pmf(grid, [0.5, 0.0, 0.0, 0.0, 0.5, 0.0])  # a spread of g
-        # max(x1, x2) is convex; no difference quotient certifies (0, 0)
-        u = tabulate_family("custom", grid, values=[0.0, 1.0, 1.0, 1.0, 2.0, 2.0])
+        grid = make_grid([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
+        g = make_pmf(grid, [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+        f = make_pmf(grid, [0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5])  # a spread of g
+        # max(1, 2 x1, 2 x2) is convex; no difference quotient or neighbour
+        # certifies (0, 0)
+        values = [1.0, 2.0, 4.0, 2.0, 2.0, 4.0, 4.0, 4.0, 4.0]
+        u = tabulate_family("custom", grid, values=values)
         failed = LpResult("numerical", None, None)
         with mock.patch.object(utility_module, "solve_lp", lambda *a, **k: failed):
             rep = verify_theorem(TheoremCase("T2b", f, g, u, SearchParams(0.5, 0.5)))

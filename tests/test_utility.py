@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,7 +18,7 @@ from mcsearch import (
     tabulate_family,
     truncate,
 )
-from mcsearch.simplex import LpResult
+from mcsearch.simplex import LpResult, solve_lp
 from mcsearch.statics import _random_grid
 from cone_oracle import oracle_convex_membership
 from conftest import random_grid
@@ -182,9 +184,10 @@ class TestConvexMembership:
         assert lp.call_count == 0
 
     def test_lp_subgradient_certifies_later_node(self):
-        """Three nodes no difference quotient certifies, two LPs: the first
-        LP's subgradient is what certifies the third node."""
-        rng = np.random.default_rng(1)
+        """Three nodes no difference quotient certifies, one LP: its
+        subgradient, passed on to the neighbours, certifies the others.
+        With the subgradient hidden from them a second LP runs."""
+        rng = np.random.default_rng(148)
         grid = _random_grid(rng, (4, 4))
         u = random_member(FunctionClass.CONVEX, grid, rng)
         nodes, vals = grid.nodes, u.values_array
@@ -200,13 +203,68 @@ class TestConvexMembership:
         assert len(uncertified) == 3
         with mock.patch.object(utility_module, "solve_lp", wraps=utility_module.solve_lp) as lp:
             res = is_member(u, FunctionClass.CONVEX)
-        assert lp.call_count == 2
+        assert lp.call_count == 1
         assert res == oracle_convex_membership(u, utility_module.MEMBERSHIP_TOL)
         assert res.member
 
+        def hidden(*args, **kwargs):
+            out = solve_lp(*args, **kwargs)
+            return dataclasses.replace(out, x=np.full_like(out.x, np.nan))
+
+        with mock.patch.object(utility_module, "solve_lp", side_effect=hidden) as lp:
+            assert is_member(u, FunctionClass.CONVEX).member
+        assert lp.call_count == 2
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            lambda x1, x2: np.maximum(x1, x2),
+            lambda x1, x2: np.maximum(abs(x1 - 1), abs(x2 - 1)),
+        ],
+        ids=["max", "max_abs"],
+    )
+    def test_kinks_are_certified_by_neighbours(self, values):
+        """On {0,1,2}^2 each kink node shares an affine piece with a
+        neighbour whose difference quotients stay inside it, so no LP runs
+        (2 and 5 when only difference quotients and LP subgradients were
+        tried)."""
+        grid = make_grid([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
+        u = tabulate(grid, values(*grid.nodes.T))
+        with mock.patch.object(utility_module, "solve_lp", wraps=utility_module.solve_lp) as lp:
+            assert is_member(u, FunctionClass.CONVEX).member
+        assert lp.call_count == 0
+
+    def test_random_members_need_few_lps(self):
+        """30 random convex members on each of 3x3, 4x4, 5x5 and 3x3x3
+        solve at most 16 LPs in all (265 when only difference quotients and
+        LP subgradients were tried)."""
+        members = []
+        for shape in [(3, 3), (4, 4), (5, 5), (3, 3, 3)]:
+            for seed in range(30):
+                rng = np.random.default_rng(seed)
+                members.append(random_member(FunctionClass.CONVEX, _random_grid(rng, shape), rng))
+        with mock.patch.object(utility_module, "solve_lp", wraps=utility_module.solve_lp) as lp:
+            assert all(is_member(u, FunctionClass.CONVEX).member for u in members)
+        assert lp.call_count <= 16
+
+    def test_offers_gathered_one_node_at_a_time_keep_the_verdict(self, monkeypatch):
+        """With one node's rows per gather, as on grids of more than 256
+        nodes, members and non-members get the verdict of one LP per
+        node."""
+        monkeypatch.setattr(utility_module, "_OFFER_CHUNK_ROWS", 1)
+        rng = np.random.default_rng(3)
+        for shape in [(3, 3), (4, 4), (3, 3, 3)]:
+            grid = _random_grid(rng, shape)
+            member = random_member(FunctionClass.CONVEX, grid, rng)
+            for u in (member, tabulate(grid, rng.normal(size=grid.size))):
+                want = oracle_convex_membership(u, utility_module.MEMBERSHIP_TOL)
+                assert is_member(u, FunctionClass.CONVEX) == want
+
     def test_failed_lp_names_its_status(self):
-        # max(x1, x2): no difference quotient certifies (0, 0), so its LP runs
-        u = tabulate(make_grid([[0.0, 1.0], [0.0, 1.0]]), [0.0, 1.0, 1.0, 1.0])
+        # max(1, 2 x1, 2 x2): no difference quotient or neighbour certifies
+        # (0, 0), on the flat piece alone, so its LP runs
+        grid = make_grid([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
+        u = tabulate(grid, np.maximum(1.0, 2.0 * grid.nodes.max(axis=1)))
         assert is_member(u, FunctionClass.CONVEX).member
         failed = LpResult("numerical", None, None)
         with mock.patch.object(utility_module, "solve_lp", lambda *a, **k: failed):
@@ -307,3 +365,21 @@ class TestConeGuard:
             is_member(tabulate(grid, np.zeros(grid.size)), FunctionClass.CONVEX)
         with pytest.raises(ValueError, match=message):
             random_member(FunctionClass.CONVEX, grid, np.random.default_rng(0))
+
+    def test_convex_membership_holds_three_index_blocks(self):
+        """A warm 30x30 convex ``is_member`` peaks at the cone's indices,
+        its coefficients and their build temporaries: the candidates'
+        checks gather the cone a bounded share at a time."""
+        axis = [float(x) for x in range(30)]
+        grid = make_grid([axis, axis])
+        x1, x2 = grid.nodes.T
+        u = tabulate(grid, np.maximum(x1, x2) + 0.1 * (x1 - 10.0) ** 2)
+        utility_module.local_rows(grid, FunctionClass.CONVEX)
+        block = utility_module.cone_rows(grid.shape, FunctionClass.CONVEX) * 4 * 8
+        tracemalloc.start()
+        try:
+            assert is_member(u, FunctionClass.CONVEX).member
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.05 * block
