@@ -168,6 +168,16 @@ def normalize_weights(weights: Sequence[float]) -> tuple[float, ...]:
     return tuple(float(x) for x in w / total)
 
 
+def check_count(x: object, what: str, least: int = 1) -> int:
+    """``x`` as an int, if it is an integer (not a bool) of at least
+    ``least``; a ``ValueError`` naming ``what`` otherwise."""
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    if x < least:
+        raise ValueError(f"{what} must be at least {least}, got {x!r}")
+    return int(x)
+
+
 def check_same_grid(pmf: Pmf, u: "TabulatedUtility") -> None:
     if u.grid != pmf.grid:
         raise ValueError("utility is tabulated on a different grid than the pmf")
@@ -238,13 +248,22 @@ class OfferSampler:
     at least 16 buckets per node, so ``r * M`` is exact and its integer part
     names r's bucket.  A bucket with no CDF value strictly inside it sends
     every uniform to the index ``cdf.searchsorted(r, side="right")`` gives
-    for all of them; uniforms in the other buckets are searched as
+    for all of them; uniforms in the other (split) buckets are searched as
     ``choice`` searches them.  The stream consumed is the same, so the draws
     are too.  ``p`` must be what ``choice`` accepts; a ``Pmf`` guarantees
     it (nonnegative, finite, summing to 1 within ``MASS_TOL``).
 
-    ``draw`` works in buffers of length ``capacity`` allocated once and
-    returns a view that the next draw overwrites.
+    A threshold policy needs only the draws whose node it accepts.
+    ``classify`` marks, for a node mask, the buckets holding a node that a
+    uniform in them can land on and that the mask accepts.  ``accepted``
+    then drops every uniform in an unmarked bucket from its bucket alone,
+    takes the one node of a marked bucket that is not split, and searches
+    only the uniforms in marked split buckets, as ``draw`` searches them.
+    It returns exactly the draws of ``draw`` that the mask accepts, and
+    consumes the same stream.
+
+    Both work in buffers of length ``capacity`` allocated once; ``draw``
+    returns a view that the next call overwrites.
     """
 
     def __init__(self, p: np.ndarray, capacity: int) -> None:
@@ -256,24 +275,65 @@ class OfferSampler:
         self._scaled_cdf = cdf * self._buckets
         edges = np.arange(self._buckets + 1, dtype=float)
         self._first = self._scaled_cdf.searchsorted(edges[:-1], side="right")
-        self._split = self._first != self._scaled_cdf.searchsorted(edges[1:], side="left")
+        # no uniform in a bucket lands past its ``last`` node
+        self._last = self._scaled_cdf.searchsorted(edges[1:], side="left")
+        self._split = self._first != self._last
         self._uniform = np.empty(capacity)
         self._bucket = np.empty(capacity, dtype=np.intp)
         self._index = np.empty(capacity, dtype=np.intp)
-        self._searched = np.empty(capacity, dtype=bool)
+        self._flag = np.empty(capacity, dtype=bool)
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """The next ``size`` indices (``size <= capacity``) from ``rng``."""
+        scaled, bucket = self._buckets_of(rng, size)
+        # every bucket is a valid index; mode "raise" would copy ``out``
+        index = np.take(self._first, bucket, out=self._index[:size], mode="clip")
+        searched = np.take(self._split, bucket, out=self._flag[:size], mode="clip")
+        if searched.any():
+            index[searched] = self._scaled_cdf.searchsorted(scaled[searched], side="right")
+        return index
+
+    def classify(self, accepts: np.ndarray) -> np.ndarray:
+        """Per bucket, whether a uniform in it can land on a node the
+        boolean node mask ``accepts`` holds.
+
+        A uniform in bucket b lands on node ``first[b]`` or, in a split
+        bucket, on a later node up to ``last[b]`` whose CDF step is
+        positive; zero-mass nodes are never drawn, so they mark nothing."""
+        drawn = np.diff(self._scaled_cdf, prepend=0.0) > 0.0
+        counts = np.concatenate(([0], np.cumsum(accepts & drawn)))
+        later = counts[self._last + 1] > counts[self._first + 1]
+        return accepts[self._first] | (self._split & later)
+
+    def accepted(
+        self, rng: np.random.Generator, size: int, accepts: np.ndarray, marked: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Of the next ``size`` draws (``size <= capacity``), the ascending
+        positions of those whose node ``accepts`` holds, and their nodes;
+        ``marked`` is ``classify(accepts)``."""
+        scaled, bucket = self._buckets_of(rng, size)
+        where = np.flatnonzero(np.take(marked, bucket, out=self._flag[:size], mode="clip"))
+        bucket = bucket[where]
+        node = self._first[bucket]
+        hit = np.flatnonzero(self._split[bucket])
+        if hit.size:
+            found = self._scaled_cdf.searchsorted(scaled[where[hit]], side="right")
+            node[hit] = found
+            # a split bucket can hold rejected nodes beside accepted ones
+            missed = ~accepts[found]
+            if missed.any():
+                keep = np.ones(where.size, dtype=bool)
+                keep[hit[missed]] = False
+                where, node = where[keep], node[keep]
+        return where, node
+
+    def _buckets_of(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next ``size`` uniforms scaled by ``M``, and their buckets."""
         scaled = rng.random(out=self._uniform[:size])
         scaled *= self._buckets
         bucket = self._bucket[:size]
         np.copyto(bucket, scaled, casting="unsafe")  # truncation: scaled >= 0
-        # every bucket is a valid index; mode "raise" would copy ``out``
-        index = np.take(self._first, bucket, out=self._index[:size], mode="clip")
-        searched = np.take(self._split, bucket, out=self._searched[:size], mode="clip")
-        if searched.any():
-            index[searched] = self._scaled_cdf.searchsorted(scaled[searched], side="right")
-        return index
+        return scaled, bucket
 
 
 def sample_offers(pmf: Pmf, seed: int, n: int) -> list[tuple[float, ...]]:
@@ -284,9 +344,7 @@ def sample_offers(pmf: Pmf, seed: int, n: int) -> list[tuple[float, ...]]:
     renormalized masses (see ``OfferSampler``).  Sampling renormalizes the
     masses by their exact float sum (bounded by ``MASS_TOL``).
     """
-    if n < 1:
-        raise ValueError("need at least one draw")
-    n = int(n)
-    rng = np.random.default_rng(int(seed))
+    n = check_count(n, "n")
+    rng = np.random.default_rng(check_count(seed, "seed", least=0))
     idx = OfferSampler(pmf.mass_array / pmf.mass_array.sum(), n).draw(rng, n)
     return list(map(tuple, pmf.grid.nodes[idx].tolist()))

@@ -20,11 +20,15 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import OfferSampler, Pmf, SearchParams, check_same_grid
+from .grids import OfferSampler, Pmf, SearchParams, check_count, check_same_grid
 from .utility import TabulatedUtility, tabulate
 
 #: Hard cap on contraction iterations before the solver reports a defect.
 MAX_ITERATIONS = 10**6
+
+#: Episodes decided per call of ``OfferSampler.accepted``: the scratch of a
+#: simulation stays this long, whatever its episode count.
+_DRAW_CHUNK = 1 << 14
 
 
 class ConvergenceError(RuntimeError):
@@ -234,50 +238,61 @@ def simulate_search(
     Each episode draws offers until acceptance or the documented horizon and
     realizes sum_{t<T} beta^t gamma + beta^T U(w_T)/(1-beta).  Offers come
     from a single seeded PCG64 stream consumed period by period: each period
-    draws one offer for every episode still searching, in episode order,
-    through ``OfferSampler`` (the draws of ``rng.choice``), so results are
-    bit-reproducible for a fixed seed.  When no node with positive mass
-    reaches the threshold, nothing is drawn: every episode realizes the
-    flow value of the whole horizon.
+    draws one offer for every episode still searching, in episode order, so
+    results are bit-reproducible for a fixed seed.  The draws are those of
+    ``rng.choice``, but only the accepted ones are ever looked up: a period
+    runs in chunks of ``_DRAW_CHUNK`` episodes, and ``OfferSampler.accepted``
+    decides each uniform from its guide-table bucket, searching the CDF only
+    in the buckets ``classify`` marks.  The stream and the stats are those
+    of drawing every offer.  When no node a draw can land on reaches the
+    threshold, nothing is drawn: every episode realizes the flow value of
+    the whole horizon.
     """
-    if episodes < 1:
-        raise ValueError("need at least one episode")
+    episodes = check_count(episodes, "episodes")
+    seed = check_count(seed, "seed", least=0)
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold!r}")
     check_same_grid(pmf, u)
     beta, gamma = params.beta, params.gamma
     horizon = simulation_horizon(u, params)
-    rng = np.random.default_rng(int(seed))
-    sampler = OfferSampler(pmf.mass_array / pmf.mass_array.sum(), episodes)
+    rng = np.random.default_rng(seed)
+    sampler = OfferSampler(pmf.mass_array / pmf.mass_array.sum(), min(episodes, _DRAW_CHUNK))
     vals = u.values_array
+    accepts = vals >= threshold
+    marked = sampler.classify(accepts)
 
     realized = np.empty(episodes)
-    alive = np.arange(episodes)
-    offer_buf = np.empty(episodes)
-    take_buf = np.empty(episodes, dtype=bool)
+    # episodes still searching, in order; survivors are compacted into spare
+    alive, spare = np.arange(episodes), np.empty(episodes, dtype=np.intp)
+    searching = episodes
+    survives = np.empty(min(episodes, _DRAW_CHUNK), dtype=bool)
     # discounted value of t periods of unemployment flow
     flow = gamma * (1.0 - beta ** np.arange(horizon + 1)) / (1.0 - beta)
     accepted = 0
-    # draws never land on zero-mass nodes, so when no other node reaches the
-    # threshold every episode runs to the horizon whatever is drawn
-    periods = horizon if (vals[pmf.mass_array > 0] >= threshold).any() else 0
+    # when no draw can land on an accepted node, every episode runs to the
+    # horizon whatever is drawn
+    periods = horizon if marked.any() else 0
     for t in range(periods):
-        searching = alive.size
-        # every draw is a node index; mode "raise" would copy ``out``
-        offers = np.take(vals, sampler.draw(rng, searching), out=offer_buf[:searching], mode="clip")
-        take = np.greater_equal(offers, threshold, out=take_buf[:searching])
-        idx = alive[take]
-        # flow[t] + beta**t * offer / (1 - beta), operation for operation
-        gain = offers[take]
-        gain *= beta**t
-        gain /= 1.0 - beta
-        gain += flow[t]
-        realized[idx] = gain
-        accepted += idx.size
-        alive = alive[~take]
-        if alive.size == 0:
+        # flow[t] + beta**t * U / (1 - beta) at every node, operation for operation
+        gains = vals * beta**t
+        gains /= 1.0 - beta
+        gains += flow[t]
+        kept = 0
+        for start in range(0, searching, _DRAW_CHUNK):
+            ids = alive[start:min(start + _DRAW_CHUNK, searching)]
+            where, node = sampler.accepted(rng, ids.size, accepts, marked)
+            realized[ids[where]] = gains[node]
+            accepted += where.size
+            keep = survives[:ids.size]
+            keep.fill(True)
+            keep[where] = False
+            # every index is valid; mode "raise" would copy ``out``
+            np.take(ids, np.flatnonzero(keep), out=spare[kept:kept + ids.size - where.size], mode="clip")
+            kept += ids.size - where.size
+        alive, spare, searching = spare, alive, kept
+        if searching == 0:
             break
-    realized[alive] = flow[horizon]  # never accepted; discounted tail < tol
+    realized[alive[:searching]] = flow[horizon]  # never accepted; discounted tail < tol
     mean = float(realized.mean())
     stderr = float(realized.std(ddof=1) / math.sqrt(episodes)) if episodes > 1 else 0.0
     return SimulationStats(mean, stderr, episodes, horizon, accepted / episodes)

@@ -309,6 +309,67 @@ class TestSampling:
         want = np.random.default_rng(seed).choice(n, size, p=p)
         assert np.array_equal(OfferSampler(p, size).draw(np.random.default_rng(seed), size), want)
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(1, 40),
+        zeros=st.floats(0.0, 0.9),
+        tiny=st.floats(0.0, 0.9),
+        size=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_accepted_is_draw_classified_by_node(self, n, zeros, tiny, size, seed):
+        """Masses down to 1e-15 beside large ones put accepted and rejected
+        nodes in one bucket; zero masses must not mark a bucket."""
+        rng = np.random.default_rng(seed)
+        w = rng.dirichlet(np.ones(n))
+        w = np.where(rng.random(n) < tiny, 10.0 ** rng.uniform(-15, -3, n), w)
+        w *= rng.random(n) >= zeros
+        w[rng.integers(n)] += 0.5
+        p = np.asarray(normalize_weights(w))
+        vals = rng.normal(size=n)
+        threshold = vals[rng.integers(n)] if rng.random() < 0.5 else float(rng.normal())
+        accepts = vals >= threshold
+        sampler, want_sampler = OfferSampler(p, size), OfferSampler(p, size)
+        marked = sampler.classify(accepts)
+        got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        for _ in range(2):  # the buffers are reused call after call
+            where, node = sampler.accepted(got_rng, size, accepts, marked)
+            index = want_sampler.draw(want_rng, size)
+            assert np.array_equal(where, np.flatnonzero(accepts[index]))
+            assert np.array_equal(node, index[where])
+        assert got_rng.random() == want_rng.random()  # same stream consumed
+        if not accepts[p > 0].any():  # zero-mass nodes are never drawn
+            assert not marked.any()
+
+    def test_split_bucket_holds_accepted_and_rejected_nodes(self):
+        """Node 1's tiny mass puts it in the bucket at CDF 1/2 beside node 2.
+        Accepting node 1 alone marks that bucket only; its draws, which all
+        land on node 2, are searched and dropped."""
+        p = np.array([0.5, 1e-9, 0.5 - 1e-9])
+        accepts = np.array([False, True, False])
+        sampler = OfferSampler(p, 2000)
+        marked = sampler.classify(accepts)
+        shared = sampler._buckets // 2
+        assert np.flatnonzero(marked).tolist() == [shared]
+        uniforms = np.random.default_rng(0).random(2001)
+        assert ((uniforms[:2000] * sampler._buckets).astype(int) == shared).any()
+        rng = np.random.default_rng(0)
+        where, node = sampler.accepted(rng, 2000, accepts, marked)
+        assert where.size == node.size == 0
+        assert rng.random() == uniforms[2000]  # same stream consumed
+
+    def test_sample_offers_validates_its_counts(self, unit_square):
+        pmf = make_pmf(unit_square, [0.25] * 4)
+        for bad in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                sample_offers(pmf, 0, bad)
+        for bad in (1.5, 1.0, False):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                sample_offers(pmf, bad, 5)
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            sample_offers(pmf, -1, 5)
+        assert sample_offers(pmf, np.int64(3), np.int32(5)) == sample_offers(pmf, 3, 5)
+
     def test_sample_offers_are_rng_choice_nodes(self):
         g = make_grid([[0.0, 1.5, 2.0], [-1.0, 4.0]])
         pmf = make_pmf(g, [0.1, 0.0, 0.25, 0.3, 0.0, 0.35])

@@ -23,7 +23,6 @@ from mcsearch import (
     tabulate_family,
     value_function,
 )
-from mcsearch.grids import OfferSampler
 from mcsearch.statics import THEOREM_CLASS, generate_case, verify_theorem
 from conftest import random_grid, random_pmf
 from simulation_oracle import oracle_simulate_search
@@ -421,11 +420,27 @@ class TestSimulation:
         c = simulate_search(pmf, u, p, 1.0, seed=10, episodes=5_000)
         assert a != c
 
+    @staticmethod
+    def simulate_untouched_stream(pmf, u, p, threshold, seed, episodes):
+        """``simulate_search``, asserting that it makes one generator and
+        consumes none of its stream."""
+        made = []
+        real = np.random.default_rng
+
+        def default_rng(s):
+            made.append((real(s), s))
+            return made[-1][0]
+
+        with mock.patch.object(np.random, "default_rng", default_rng):
+            stats = simulate_search(pmf, u, p, threshold, seed, episodes)
+        assert len(made) == 1
+        rng, s = made[0]
+        assert rng.bit_generator.state == real(s).bit_generator.state
+        return stats
+
     def test_never_accepting_yields_flow_value(self, two_point):
         _, pmf, u, p = two_point
-        with mock.patch.object(OfferSampler, "draw") as draw:
-            stats = simulate_search(pmf, u, p, threshold=99.0, seed=5, episodes=100)
-        draw.assert_not_called()
+        stats = self.simulate_untouched_stream(pmf, u, p, threshold=99.0, seed=5, episodes=100)
         assert stats.accept_rate == 0.0
         flow_total = p.gamma * (1 - p.beta**stats.horizon) / (1 - p.beta)
         assert stats.mean == pytest.approx(flow_total, abs=1e-12)
@@ -438,9 +453,7 @@ class TestSimulation:
         pmf = make_pmf(grid, [0.5, 0.5, 0.0])
         u = tabulate(grid, [0.0, 1.0, 2.0])
         p = SearchParams(0.9, 0.5, 1e-6)
-        with mock.patch.object(OfferSampler, "draw") as draw:
-            stats = simulate_search(pmf, u, p, threshold=1.5, seed=6, episodes=200)
-        draw.assert_not_called()
+        stats = self.simulate_untouched_stream(pmf, u, p, threshold=1.5, seed=6, episodes=200)
         assert stats == oracle_simulate_search(pmf, u, p, 1.5, 6, 200)
         assert stats.accept_rate == 0.0
 
@@ -456,20 +469,39 @@ class TestSimulation:
             simulate_search(pmf, u, p, 1.0, seed=0, episodes=0)
         with pytest.raises(ValueError, match="finite"):
             simulate_search(pmf, u, p, float("nan"), seed=0, episodes=10)
+        for bad in (10.0, 10.5, True):
+            with pytest.raises(ValueError, match="episodes must be an integer"):
+                simulate_search(pmf, u, p, 1.0, seed=0, episodes=bad)
+        for bad in (1.5, 1.0, False):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                simulate_search(pmf, u, p, 1.0, seed=bad, episodes=10)
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            simulate_search(pmf, u, p, 1.0, seed=-1, episodes=10)
+        got = simulate_search(pmf, u, p, 1.0, seed=np.int64(3), episodes=np.int32(10))
+        assert got == simulate_search(pmf, u, p, 1.0, seed=3, episodes=10)
 
     @settings(deadline=None, max_examples=60)
     @given(
         shape=st.sampled_from([(1,), (5,), (2, 3), (3, 3), (2, 2, 3)]),
         beta=st.floats(0.5, 0.9999),
         where=st.sampled_from(["below", "above", "tie", "inside"]),
+        tiny=st.booleans(),
         horizon=st.integers(1, 300),
-        episodes=st.sampled_from([1, 2, 1000]),
+        episodes=st.sampled_from(
+            [1, 2, 1000] + [k + solver_module._DRAW_CHUNK for k in (-1, 0, 1, solver_module._DRAW_CHUNK + 17)]
+        ),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_choice_loop(self, shape, beta, where, horizon, episodes, seed):
+    def test_matches_choice_loop(self, shape, beta, where, tiny, horizon, episodes, seed):
+        """Episode counts around the chunk length cross chunk boundaries;
+        masses down to 1e-15 beside large ones put accepted and rejected
+        nodes in one guide-table bucket."""
         rng = np.random.default_rng(seed)
         grid = random_grid(rng, shape)
-        w = rng.dirichlet(np.ones(grid.size)) * (rng.random(grid.size) < 0.7)
+        w = rng.dirichlet(np.ones(grid.size))
+        if tiny:
+            w = np.where(rng.random(grid.size) < 0.5, 10.0 ** rng.uniform(-15, -3, grid.size), w)
+        w *= rng.random(grid.size) < 0.7
         w[rng.integers(grid.size)] += 0.3  # some zero masses, never all
         pmf = make_pmf(grid, normalize_weights(w))
         u = tabulate(grid, rng.normal(0, 2, size=grid.size))
