@@ -28,7 +28,7 @@ from .utility import (
     MEMBERSHIP_TOL,
     FunctionClass,
     TabulatedUtility,
-    cone_rows,
+    cone_size,
     is_member,
     local_rows,
     tabulate,
@@ -108,17 +108,16 @@ def _cone_lp(grid: Grid, gap: np.ndarray, function_class: FunctionClass) -> LpRe
     """Minimize ``gap . U`` over the class cone within ``0 <= U <= 1``.
 
     Every class builds this LP the same way from its ``ConeMatrix``; the
-    convex class's subgradient variables are free and follow the values in
-    ``x``.  The tableau is sized by ``simplex.tableau_shape`` from the
-    cone's row count before the cone is built, and one past the solver's
+    variables past the values (convex subgradients) are free and follow
+    them in ``x``.  ``simplex.tableau_shape`` sizes the tableau from
+    ``cone_size`` before the cone is built, and one past the solver's
     ``TABLEAU_ENTRY_GUARD`` raises ``ValueError`` there.
     """
     n = grid.size
-    # the convex cone adds one subgradient per node after the values
-    n_vars = n + n * grid.ndim if function_class is FunctionClass.CONVEX else n
+    n_rows, _, n_vars = cone_size(grid.shape, function_class)
     bounds = [(0.0, 1.0)] * n + [(None, None)] * (n_vars - n)
     # b_ub = 0 and every offset is 0, so no row is flipped
-    tableau_shape(cone_rows(grid.shape, function_class), 0, bounds)
+    tableau_shape(n_rows, 0, bounds)
 
     cone = local_rows(grid, function_class)
     a_ub = np.zeros((len(cone), n_vars))

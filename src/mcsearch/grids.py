@@ -232,13 +232,16 @@ def common_grid(f: Pmf, g: Pmf) -> tuple[Grid, Pmf, Pmf]:
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Deterministic per-scenario generator (PCG64) derived from
-    ``(seed, *key)``.  Used for seed-splitting across independent cases."""
-    return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(int(k) for k in key)))
+    ``(seed, *key)``, each a nonnegative integer.  Used for seed-splitting
+    across independent cases."""
+    entropy = (check_count(seed, "seed", least=0),) + tuple(check_count(k, "key", least=0) for k in key)
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 class OfferSampler:
     """Draws node indices from a probability vector ``p`` bit for bit as
-    ``rng.choice(p.size, size, p=p)`` does, without its per-call work.
+    ``rng.choice(p.size, size, p=p)`` does, without its per-call work, and
+    only those a node mask accepts.
 
     ``choice`` checks ``p``, rebuilds the normalized CDF and binary-searches
     it for every uniform from ``rng.random``.  Here the CDF is built once,
@@ -258,12 +261,10 @@ class OfferSampler:
     uniform in them can land on and that the mask accepts.  ``accepted``
     then drops every uniform in an unmarked bucket from its bucket alone,
     takes the one node of a marked bucket that is not split, and searches
-    only the uniforms in marked split buckets, as ``draw`` searches them.
-    It returns exactly the draws of ``draw`` that the mask accepts, and
-    consumes the same stream.
-
-    Both work in buffers of length ``capacity`` allocated once; ``draw``
-    returns a view that the next call overwrites.
+    only the uniforms in marked split buckets.  It returns exactly the
+    draws of ``choice`` that the mask accepts, and consumes the same
+    stream; an all-true mask returns every draw.  It works in buffers of
+    length ``capacity`` allocated once.
     """
 
     def __init__(self, p: np.ndarray, capacity: int) -> None:
@@ -280,18 +281,7 @@ class OfferSampler:
         self._split = self._first != self._last
         self._uniform = np.empty(capacity)
         self._bucket = np.empty(capacity, dtype=np.intp)
-        self._index = np.empty(capacity, dtype=np.intp)
         self._flag = np.empty(capacity, dtype=bool)
-
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """The next ``size`` indices (``size <= capacity``) from ``rng``."""
-        scaled, bucket = self._buckets_of(rng, size)
-        # every bucket is a valid index; mode "raise" would copy ``out``
-        index = np.take(self._first, bucket, out=self._index[:size], mode="clip")
-        searched = np.take(self._split, bucket, out=self._flag[:size], mode="clip")
-        if searched.any():
-            index[searched] = self._scaled_cdf.searchsorted(scaled[searched], side="right")
-        return index
 
     def classify(self, accepts: np.ndarray) -> np.ndarray:
         """Per bucket, whether a uniform in it can land on a node the
@@ -341,10 +331,13 @@ def sample_offers(pmf: Pmf, seed: int, n: int) -> list[tuple[float, ...]]:
 
     The stream comes from numpy's seeded PCG64 generator, so draws are
     bit-reproducible for a fixed seed; they equal ``rng.choice`` on the
-    renormalized masses (see ``OfferSampler``).  Sampling renormalizes the
-    masses by their exact float sum (bounded by ``MASS_TOL``).
+    renormalized masses (see ``OfferSampler``; every node is accepted).
+    Sampling renormalizes the masses by their exact float sum (bounded by
+    ``MASS_TOL``).
     """
     n = check_count(n, "n")
     rng = np.random.default_rng(check_count(seed, "seed", least=0))
-    idx = OfferSampler(pmf.mass_array / pmf.mass_array.sum(), n).draw(rng, n)
+    sampler = OfferSampler(pmf.mass_array / pmf.mass_array.sum(), n)
+    every = np.ones(pmf.grid.size, dtype=bool)
+    _, idx = sampler.accepted(rng, n, every, sampler.classify(every))
     return list(map(tuple, pmf.grid.nodes[idx].tolist()))

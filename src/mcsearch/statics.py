@@ -21,7 +21,7 @@ from .dominance import (
     fosd_shift,
     mean_preserving_spread,
 )
-from .grids import Grid, Pmf, SearchParams, derive_rng, make_grid, make_pmf
+from .grids import Grid, Pmf, SearchParams, check_count, derive_rng, make_grid, make_pmf
 from .solver import reservation_utility
 from .utility import (
     _FAMILIES,
@@ -273,10 +273,9 @@ class SuiteConfig:
 
     def __post_init__(self) -> None:
         _theorem_class(self.theorem_id)
-        if self.n_cases < 0:
-            raise ValueError("n_cases must be nonnegative")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
+        check_count(self.n_cases, "n_cases", least=0)
+        check_count(self.seed, "seed", least=0)
+        check_count(self.jobs, "jobs")
 
 
 @dataclass(frozen=True)

@@ -19,14 +19,15 @@ Each class, the convex one included, has one cone representation, a
 ``ConeMatrix`` whose row ``r`` reads ``sum_c coeff[r, c] * v[idx[r, c]] >=
 0``; membership and the dominance LP both use it.  For the local classes
 ``v`` is ``u``; for the convex class it is ``u`` followed by the
-subgradients, one ``K``-vector per node.  Node indices depend only on the
-grid shape, are built by index arithmetic on its C-order strides and kept
-in a small LRU cache of read-only arrays; spacing-dependent coefficients
-are computed on every call.  The convex membership test checks candidate
-subgradients on the cone's rows by ``ConeMatrix.margins``, as the local
-classes do: difference quotients first, then the subgradients of certified
-grid neighbours; it solves an LP per node only where none holds.  Composite
-classes are conjunctions.
+subgradients, one ``K``-vector per node.  One table, ``_LOCAL_FAMILIES``,
+gives each local family as a stencil of node offsets with its shared
+coefficients and witness order; the node indices (cached per grid shape),
+the row counts and the convex test's grid neighbours all derive from it.
+The convex membership test checks candidate subgradients on the cone's
+rows by ``ConeMatrix.margins``, as the local classes do: difference
+quotients first, then the subgradients of certified grid neighbours; it
+solves an LP per node only where none holds.  Composite classes are
+conjunctions.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -162,16 +163,28 @@ def tabulate_family(
 # cone matrices
 # ---------------------------------------------------------------------------
 
-#: Per local family: the coefficients shared by all its rows
-#: (componentwise-convex ones depend on the coordinates) and the columns of
-#: its witness nodes.  Rows are stored in summation order, (upper, lower)
-#: and (ll, hh, lh, hl); witnesses list (lower, upper) and (ll, lh, hl, hh).
-#: Convex rows (j, i, subgradient of i) are built apart: their witness is a
-#: node's subgradient LP, not a row.
-_FAMILY_LAYOUT: dict[str, tuple[tuple[float, ...] | None, list[int]]] = {
-    "increasing": ((1.0, -1.0), [1, 0]),
-    "supermodular": ((1.0, 1.0, -1.0, -1.0), [0, 2, 3, 1]),
-    "componentwise_convex": (None, [0, 1, 2]),
+
+#: The local families as stencils.  ``offsets`` gives a row's nodes, in
+#: summation order, as multiples of the unit vectors of one axis (e_k) or
+#: of two (e_p, e_q with p < q): increasing (e_k, 0), supermodular
+#: (0, e_p+e_q, e_q, e_p), componentwise convex (0, e_k, 2e_k).  Each axis
+#: or pair places the stencil at every node where all its nodes lie on the
+#: grid.  ``coeff`` is shared by all the family's rows (None:
+#: componentwise-convex ones depend on the coordinates) and ``witness``
+#: lists the columns of its witness nodes, (lower, upper) and
+#: (ll, lh, hl, hh).  Topology, row counts and widths all derive from this
+#: table.  Convex rows (j, i, subgradient of i) are built apart: their
+#: witness is a node's subgradient LP, not a row.
+class _Stencil(NamedTuple):
+    offsets: tuple[tuple[int, ...], ...]
+    coeff: tuple[float, ...] | None
+    witness: tuple[int, ...]
+
+
+_LOCAL_FAMILIES: dict[str, _Stencil] = {
+    "increasing": _Stencil(((1,), (0,)), (1.0, -1.0), (1, 0)),
+    "supermodular": _Stencil(((0, 0), (1, 1), (0, 1), (1, 0)), (1.0, 1.0, -1.0, -1.0), (0, 2, 3, 1)),
+    "componentwise_convex": _Stencil(((0,), (1,), (2,)), None, (0, 1, 2)),
 }
 
 
@@ -204,43 +217,66 @@ class ConeMatrix:
     def witness(self, grid: Grid, r: int, margin: float) -> Witness:
         """The violated constraint of row ``r``, nodes in witness order."""
         family = next(f for f, stop in self.families if r < stop)
-        nodes = self.idx[r, _FAMILY_LAYOUT[family][1]]
+        nodes = self.idx[r, _LOCAL_FAMILIES[family].witness]
         return Witness(family, tuple(grid.node(i) for i in nodes), margin)
 
 
-@functools.lru_cache(maxsize=64)
-def _family_topology(shape: tuple[int, ...], family: str) -> np.ndarray:
-    """Node indices of one family's rows on every grid of this shape.
+def _stencils(family: str, ndim: int) -> np.ndarray:
+    """A local family's stencils on ``ndim`` axes as one (S, width, ndim)
+    array of node offsets: one stencil per axis, or per pair of axes
+    ``p < q``, in order."""
+    offsets = np.array(_LOCAL_FAMILIES[family].offsets)
+    arity = offsets.shape[1]
+    axes = np.array(list(itertools.combinations(range(ndim), arity)), dtype=np.intp)
+    return offsets @ np.eye(ndim, dtype=np.intp)[axes.reshape(-1, arity)]
 
-    Local rows run over the nodes in C order and, at each node, over the
-    axes ``k`` (dimension pairs ``p < q`` for supermodular rows).  Convex
-    rows are the ordered pairs ``i != j``, i-major.  The array is read-only
-    because the cache shares it between grids.
+
+@functools.lru_cache(maxsize=64)
+def _family_topology(shape: tuple[int, ...], family: str, stencil: int | None = None) -> np.ndarray:
+    """Node indices of one family's rows on every grid of this shape, or
+    of the rows of its stencil number ``stencil`` alone.
+
+    Local rows place the family's stencils at every node where all their
+    nodes lie on the grid: over the nodes in C order and, at each, over the
+    stencils.  Convex rows are the ordered pairs ``i != j``, i-major.  The
+    array is read-only because the cache shares it between grids.
     """
-    ndim = len(shape)
-    extent = np.array(shape)
-    multi = np.indices(shape).reshape(ndim, -1).T
-    n = multi.shape[0]
-    node = np.arange(n)[:, None]
-    stride = np.array([math.prod(shape[k + 1 :]) for k in range(ndim)])
+    n, ndim = math.prod(shape), len(shape)
     if family == "convex":
-        # node i down the rows, node j across them
-        valid = ~np.eye(n, dtype=bool)
-        cols = (node.T, node, *(n + node * ndim + k for k in range(ndim)))
-    elif family == "supermodular":
-        p, q = np.triu_indices(ndim, k=1)
-        valid = (multi[:, p] + 1 < extent[p]) & (multi[:, q] + 1 < extent[q])
-        s_p, s_q = stride[p], stride[q]
-        cols = (node, node + s_p + s_q, node + s_q, node + s_p)
-    elif family == "increasing":
-        valid = multi + 1 < extent
-        cols = (node + stride, node)
+        # node i down the rows, every other node j across them
+        idx = np.empty((n * (n - 1), 2 + ndim), dtype=np.intp)
+        i, j = idx[:, 1], idx[:, 0]
+        i[:] = np.repeat(np.arange(n), n - 1)
+        j[:] = np.tile(np.arange(n - 1), n)
+        j += j >= i
+        idx[:, 2:] = np.arange(ndim)
+        idx[:, 2:] += (n + ndim * i)[:, None]
     else:
-        valid = multi + 2 < extent
-        cols = (node, node + stride, node + 2 * stride)
-    idx = np.stack(np.broadcast_arrays(*cols), axis=-1)[valid]
+        stencils = _stencils(family, ndim)
+        if stencil is not None:
+            stencils = stencils[[stencil]]
+        multi = np.indices(shape).reshape(ndim, -1).T
+        stride = np.array([math.prod(shape[k + 1 :]) for k in range(ndim)])
+        valid = (multi[:, None] + stencils.max(axis=1) < np.array(shape)).all(axis=-1)
+        idx = (np.arange(n)[:, None, None] + stencils @ stride)[valid]
     idx.setflags(write=False)
     return idx
+
+
+@functools.lru_cache(maxsize=64)
+def cone_size(shape: tuple[int, ...], function_class: FunctionClass) -> tuple[int, int, int]:
+    """``(rows, width, variables)`` of the class cone on a grid of this
+    shape, counted without building any rows: ``len(local_rows(grid,
+    function_class))``, its index width and the length of the ``v`` its
+    rows read."""
+    n, ndim = math.prod(shape), len(shape)
+    if function_class is FunctionClass.CONVEX:
+        # every ordered pair of nodes, over the values and one subgradient each
+        return n * (n - 1), 2 + ndim, n + n * ndim
+    stencils = [_stencils(family, ndim) for family in _FAMILIES[function_class]]
+    # a stencil fits at (extent - reach)+ positions along each axis
+    rows = sum(np.clip(np.array(shape) - s.max(axis=1), 0, None).prod(axis=1).sum() for s in stencils)
+    return int(rows), max(s.shape[1] for s in stencils), n
 
 
 def local_rows(grid: Grid, function_class: FunctionClass) -> ConeMatrix:
@@ -254,13 +290,7 @@ def local_rows(grid: Grid, function_class: FunctionClass) -> ConeMatrix:
     ``ValueError`` before any of it is built.
     """
     families = _FAMILIES[function_class]
-    n_rows = cone_rows(grid.shape, function_class)
-    # a local row's columns are its witness nodes; a convex row adds K
-    # subgradient components to its two nodes
-    width = max(
-        2 + grid.ndim if family == "convex" else len(_FAMILY_LAYOUT[family][1])
-        for family in families
-    )
+    n_rows, width, _ = cone_size(grid.shape, function_class)
     if n_rows * width > TABLEAU_ENTRY_GUARD:
         raise ValueError(
             f"{function_class.value} cone would be {n_rows} x {width} = {n_rows * width} "
@@ -282,7 +312,7 @@ def local_rows(grid: Grid, function_class: FunctionClass) -> ConeMatrix:
             np.subtract(nodes[block[:, 0]], nodes[block[:, 1]], out=grad)
             np.negative(grad, out=grad)
             continue
-        shared = _FAMILY_LAYOUT[family][0]
+        shared = _LOCAL_FAMILIES[family].coeff
         if shared is None:
             # a row's nodes differ only along its axis, so the largest
             # coordinate difference of two of them is their axis spacing
@@ -291,28 +321,6 @@ def local_rows(grid: Grid, function_class: FunctionClass) -> ConeMatrix:
             shared = np.stack([inv_h1, -(inv_h1 + inv_h2), inv_h2], axis=-1)
         coeff[rows, :w] = shared
     return ConeMatrix(idx, coeff, tuple(zip(families, stops.tolist())))
-
-
-@functools.lru_cache(maxsize=64)
-def cone_rows(shape: tuple[int, ...], function_class: FunctionClass) -> int:
-    """``len(local_rows(grid, function_class))`` for a grid of this shape,
-    counted without building any rows: one per ordered pair of nodes, per
-    2x2 cell of each pair of axes, or per run of 2 (increasing) or 3
-    (componentwise convex) consecutive nodes along each axis."""
-    n = math.prod(shape)
-
-    def count(family: str) -> int:
-        if family == "convex":
-            return n * (n - 1)
-        if family == "supermodular":
-            return sum(
-                n // (s_p * s_q) * (s_p - 1) * (s_q - 1)
-                for s_p, s_q in itertools.combinations(shape, 2)
-            )
-        span = 2 if family == "increasing" else 3
-        return sum(n // s * max(s - span + 1, 0) for s in shape)
-
-    return sum(count(family) for family in _FAMILIES[function_class])
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +418,12 @@ def _convex_membership(u: TabulatedUtility) -> MembershipResult:
         if not rest.size:
             break
         offer(rest, np.stack(choice, axis=1)[rest])
-    # grid neighbours are the successor edges (upper, lower) of the
-    # increasing family; an edge's step is its axis's C-order stride
-    edges = _family_topology(grid.shape, "increasing")
-    step = edges[:, 0] - edges[:, 1]
+    # grid neighbours along an axis are the (upper, lower) rows of that
+    # axis's increasing stencil
     neighbours = []
-    for axis, extent in enumerate(grid.shape):
-        if extent > 1:
-            upper, lower = edges[step == math.prod(grid.shape[axis + 1 :])].T
-            neighbours += [(lower, upper), (upper, lower)]
+    for axis in range(k):
+        upper, lower = _family_topology(grid.shape, "increasing", axis).T
+        neighbours += [(lower, upper), (upper, lower)]
     while True:
         # nodes in one affine piece share a subgradient: pass each held one
         # to the uncertified neighbours, axis by axis, until none takes it

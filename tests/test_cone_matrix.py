@@ -4,6 +4,8 @@ Every comparison is bit for bit: node indices, coefficients, row order, the
 first-violation witness of ``is_member`` and the dominance LP's constraint
 matrices.
 """
+import hashlib
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 import mcsearch.dominance as dominance_module
 from mcsearch import FunctionClass, dominates, is_member, make_grid, make_pmf, random_member, tabulate
-from mcsearch.utility import _FAMILIES, MEMBERSHIP_TOL, _family_topology, cone_rows, local_rows
+from mcsearch.utility import _FAMILIES, MEMBERSHIP_TOL, _family_topology, cone_size, local_rows
 from cone_oracle import (
     ROW_BUILDERS,
     builds_cone_lp,
@@ -23,6 +25,9 @@ from cone_oracle import (
     oracle_rows,
     oracle_witness,
 )
+
+#: SHA-256 of the cone layouts that ``test_layout_digest_is_pinned`` hashes.
+LAYOUT_DIGEST = "06f355e010d8b2a838a5e6a72c598f5ce175ab7a4806283988a9a730c8615a9b"
 
 LOCAL_CLASSES = [fc for fc in FunctionClass if fc is not FunctionClass.CONVEX]
 
@@ -88,7 +93,8 @@ class TestConeMatrix:
     def test_rows_match_oracle(self, grid, fc):
         cone = local_rows(grid, fc)
         rows = oracle_rows(grid, fc)
-        assert len(cone) == len(rows) == cone_rows(grid.shape, fc)
+        assert (len(cone), cone.idx.shape[1], grid.size) == cone_size(grid.shape, fc)
+        assert len(cone) == len(rows)
         counts = [len(ROW_BUILDERS[family](grid)) for family in _FAMILIES[fc]]
         assert cone.families == tuple(zip(_FAMILIES[fc], np.cumsum(counts).tolist()))
         width = cone.idx.shape[1]
@@ -156,7 +162,7 @@ class TestConeMatrix:
         cone = local_rows(grid, FunctionClass.CONVEX)
         n, k, nodes = grid.size, grid.ndim, grid.nodes
         assert cone.families == (("convex", n * (n - 1)),)
-        assert cone_rows(grid.shape, FunctionClass.CONVEX) == n * (n - 1)
+        assert cone_size(grid.shape, FunctionClass.CONVEX) == (n * (n - 1), 2 + k, n + n * k)
         assert cone.idx.shape == cone.coeff.shape == (n * (n - 1), 2 + k)
         for node in range(n):
             rows = slice(node * (n - 1), (node + 1) * (n - 1))
@@ -224,6 +230,29 @@ class TestConeMatrix:
         assert not block.flags.writeable
         with pytest.raises(ValueError):
             block[0, 0] = 1
+
+    def test_layout_digest_is_pinned(self):
+        """Node indices, coefficients and family ends of every class cone,
+        on every shape of 1 to 4 axes of 1 to 4 nodes and a 30x30 convex
+        grid, hash to the digest of the layout as it was first recorded."""
+
+        def axis(k, extent):
+            return [k + 0.5 * j + 0.25 * j * j for j in range(extent)]
+
+        cones = [
+            (make_grid([axis(k, e) for k, e in enumerate(shape)]), fc)
+            for ndim in range(1, 5)
+            for shape in itertools.product(range(1, 5), repeat=ndim)
+            for fc in FunctionClass
+        ]
+        cones.append((make_grid([axis(0, 30), axis(1, 30)]), FunctionClass.CONVEX))
+        digest = hashlib.sha256()
+        for grid, fc in cones:
+            cone = local_rows(grid, fc)
+            digest.update(np.ascontiguousarray(cone.idx, dtype=np.int64).tobytes())
+            digest.update(np.ascontiguousarray(cone.coeff, dtype=np.float64).tobytes())
+            digest.update(repr(cone.families).encode())
+        assert digest.hexdigest() == LAYOUT_DIGEST
 
     def test_coefficients_follow_the_axes(self):
         """Two grids of one shape share the topology but not the

@@ -285,12 +285,15 @@ class TestSampling:
     def test_sampler_is_rng_choice(self, weights, size):
         p = np.asarray(weights)
         p = p / p.sum()
+        every = np.ones(p.size, dtype=bool)
         for seed in (0, 5):
             want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             sampler = OfferSampler(p, size + 3)
+            marked = sampler.classify(every)
             for _ in range(3):  # the buffers are reused draw after draw
                 want = want_rng.choice(p.size, size, p=p)
-                got = sampler.draw(got_rng, size)
+                where, got = sampler.accepted(got_rng, size, every, marked)
+                assert np.array_equal(where, np.arange(size))
                 assert got.dtype == want.dtype and np.array_equal(got, want)
             assert got_rng.random() == want_rng.random()  # same stream consumed
 
@@ -307,7 +310,9 @@ class TestSampling:
         w[rng.integers(n)] += 0.5
         p = np.asarray(normalize_weights(w))
         want = np.random.default_rng(seed).choice(n, size, p=p)
-        assert np.array_equal(OfferSampler(p, size).draw(np.random.default_rng(seed), size), want)
+        sampler, every = OfferSampler(p, size), np.ones(n, dtype=bool)
+        _, got = sampler.accepted(np.random.default_rng(seed), size, every, sampler.classify(every))
+        assert np.array_equal(got, want)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -329,12 +334,12 @@ class TestSampling:
         vals = rng.normal(size=n)
         threshold = vals[rng.integers(n)] if rng.random() < 0.5 else float(rng.normal())
         accepts = vals >= threshold
-        sampler, want_sampler = OfferSampler(p, size), OfferSampler(p, size)
+        sampler = OfferSampler(p, size)
         marked = sampler.classify(accepts)
         got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         for _ in range(2):  # the buffers are reused call after call
             where, node = sampler.accepted(got_rng, size, accepts, marked)
-            index = want_sampler.draw(want_rng, size)
+            index = want_rng.choice(n, size, p=p)
             assert np.array_equal(where, np.flatnonzero(accepts[index]))
             assert np.array_equal(node, index[where])
         assert got_rng.random() == want_rng.random()  # same stream consumed
@@ -377,6 +382,21 @@ class TestSampling:
         draws = sample_offers(pmf, seed=11, n=500)
         assert draws == [g.node(i) for i in idx]
         assert all(type(c) is float for d in draws for c in d)
+
+    def test_derive_rng_takes_integer_seeds_and_keys(self):
+        """A fractional seed or key is refused, not truncated; numpy
+        integers stay accepted."""
+        for bad in (1.7, 1.0, True):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                derive_rng(bad, 0)
+            with pytest.raises(ValueError, match="key must be an integer"):
+                derive_rng(9, 0, bad)
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            derive_rng(-1)
+        with pytest.raises(ValueError, match="key must be at least 0"):
+            derive_rng(9, -1)
+        want = derive_rng(9, 1, 2).normal(size=3)
+        assert np.array_equal(derive_rng(np.int64(9), np.int32(1), np.uint8(2)).normal(size=3), want)
 
     def test_derive_rng_split(self):
         a = derive_rng(9, 0).normal(size=3)

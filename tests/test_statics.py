@@ -1,5 +1,6 @@
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import mcsearch.statics as statics_module
@@ -211,6 +212,22 @@ class TestSuites:
             SuiteConfig("T2a", -1, 0)
         with pytest.raises(ValueError):
             SuiteConfig("T2a", 1, 0, jobs=0)
+        with pytest.raises(ValueError, match="n_cases must be an integer"):
+            SuiteConfig("T2a", 2.0, 0)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SuiteConfig("T2a", 1, 0.5)
+        with pytest.raises(ValueError, match="jobs must be an integer"):
+            SuiteConfig("T2a", 1, 0, jobs=1.5)
+        assert run_suite(SuiteConfig("T3", np.int64(2), np.int32(4))) == run_suite(SuiteConfig("T3", 2, 4))
+
+    def test_fractional_seed_or_case_index_is_refused(self):
+        """``generate_case`` once truncated both: seed 1.7 gave seed 1's
+        case and case index 1.9 case 1's."""
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.7"):
+            generate_case("T3", 0, 1.7, (3, 3))
+        with pytest.raises(ValueError, match="key must be an integer, got 1.9"):
+            generate_case("T3", 1.9, 0, (3, 3))
+        assert generate_case("T3", np.int64(1), np.int64(1), (3, 3)) == generate_case("T3", 1, 1, (3, 3))
 
 
 class TestClosure:

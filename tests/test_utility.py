@@ -375,7 +375,8 @@ class TestConeGuard:
         x1, x2 = grid.nodes.T
         u = tabulate(grid, np.maximum(x1, x2) + 0.1 * (x1 - 10.0) ** 2)
         utility_module.local_rows(grid, FunctionClass.CONVEX)
-        block = utility_module.cone_rows(grid.shape, FunctionClass.CONVEX) * 4 * 8
+        rows, width, _ = utility_module.cone_size(grid.shape, FunctionClass.CONVEX)
+        block = rows * width * 8
         tracemalloc.start()
         try:
             assert is_member(u, FunctionClass.CONVEX).member
