@@ -276,6 +276,10 @@ class SuiteConfig:
         check_count(self.n_cases, "n_cases", least=0)
         check_count(self.seed, "seed", least=0)
         check_count(self.jobs, "jobs")
+        if not self.grid_shape:
+            raise ValueError("grid_shape needs at least one axis")
+        for extent in self.grid_shape:
+            check_count(extent, "grid_shape")
 
 
 @dataclass(frozen=True)
@@ -362,8 +366,7 @@ def closure_check(
     """
     if operator not in _OPERATORS:
         raise ValueError(f"unknown operator {operator!r}; choose one of {', '.join(_OPERATORS)}")
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    samples = check_count(samples, "samples")
     needs_pairs = "supermodular" in _FAMILIES[function_class]
     preserved = 0
     violations: list[tuple[int, Witness]] = []

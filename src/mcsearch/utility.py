@@ -21,12 +21,11 @@ Each class, the convex one included, has one cone representation, a
 ``v`` is ``u``; for the convex class it is ``u`` followed by the
 subgradients, one ``K``-vector per node.  One table, ``_LOCAL_FAMILIES``,
 gives each local family as a stencil of node offsets with its shared
-coefficients and witness order; the node indices (cached per grid shape),
-the row counts and the convex test's grid neighbours all derive from it.
-The convex membership test checks candidate subgradients on the cone's
-rows by ``ConeMatrix.margins``, as the local classes do: difference
-quotients first, then the subgradients of certified grid neighbours; it
-solves an LP per node only where none holds.  Composite classes are
+coefficients and witness order.  Each class's index block derives from it,
+built once per grid shape and shared by every grid of that shape; only
+the coefficients are computed per grid.  The convex test checks candidate
+subgradients on their nodes' rows of that block by ``ConeMatrix.margins``
+and solves an LP per node only where none holds.  Composite classes are
 conjunctions.
 """
 from __future__ import annotations
@@ -188,6 +187,10 @@ _LOCAL_FAMILIES: dict[str, _Stencil] = {
 }
 
 
+#: Each family of a cone with the end of its rows.
+Families = tuple[tuple[str, int], ...]
+
+
 @dataclass(frozen=True, eq=False)
 class ConeMatrix:
     """The constraints of a class cone on one grid.
@@ -202,16 +205,20 @@ class ConeMatrix:
 
     idx: np.ndarray
     coeff: np.ndarray
-    families: tuple[tuple[str, int], ...]
+    families: Families
 
     def __len__(self) -> int:
         return self.idx.shape[0]
 
-    def margins(self, values: np.ndarray) -> np.ndarray:
-        """Slack of every row, accumulated one column at a time."""
-        out = np.zeros(len(self))
-        for c in range(self.idx.shape[1]):
-            out += self.coeff[:, c] * values[self.idx[:, c]]
+    def margins(self, values: np.ndarray, rows: slice | np.ndarray = slice(None)) -> np.ndarray:
+        """Slack of ``rows`` (all by default), summed one column at a time:
+        no row is copied, and two row-length temporaries are held at once."""
+        out = 0.0
+        for column, weights in zip(self.idx.T, self.coeff.T):
+            term = values[column[rows]]
+            term *= weights[rows]
+            out += term
+            del term  # before the next column's gather
         return out
 
     def witness(self, grid: Grid, r: int, margin: float) -> Witness:
@@ -231,16 +238,11 @@ def _stencils(family: str, ndim: int) -> np.ndarray:
     return offsets @ np.eye(ndim, dtype=np.intp)[axes.reshape(-1, arity)]
 
 
-@functools.lru_cache(maxsize=64)
-def _family_topology(shape: tuple[int, ...], family: str, stencil: int | None = None) -> np.ndarray:
-    """Node indices of one family's rows on every grid of this shape, or
-    of the rows of its stencil number ``stencil`` alone.
-
-    Local rows place the family's stencils at every node where all their
-    nodes lie on the grid: over the nodes in C order and, at each, over the
-    stencils.  Convex rows are the ordered pairs ``i != j``, i-major.  The
-    array is read-only because the cache shares it between grids.
-    """
+def _family_index(shape: tuple[int, ...], family: str) -> np.ndarray:
+    """Node indices of one family's rows on a grid of this shape.  Local
+    rows place the family's stencils at every node where all their nodes
+    lie on the grid: over the nodes in C order and, at each, over the
+    stencils.  Convex rows are the ordered pairs ``i != j``, i-major."""
     n, ndim = math.prod(shape), len(shape)
     if family == "convex":
         # node i down the rows, every other node j across them
@@ -251,16 +253,28 @@ def _family_topology(shape: tuple[int, ...], family: str, stencil: int | None = 
         j += j >= i
         idx[:, 2:] = np.arange(ndim)
         idx[:, 2:] += (n + ndim * i)[:, None]
-    else:
-        stencils = _stencils(family, ndim)
-        if stencil is not None:
-            stencils = stencils[[stencil]]
-        multi = np.indices(shape).reshape(ndim, -1).T
-        stride = np.array([math.prod(shape[k + 1 :]) for k in range(ndim)])
-        valid = (multi[:, None] + stencils.max(axis=1) < np.array(shape)).all(axis=-1)
-        idx = (np.arange(n)[:, None, None] + stencils @ stride)[valid]
+        return idx
+    stencils = _stencils(family, ndim)
+    multi = np.indices(shape).reshape(ndim, -1).T
+    stride = np.array([math.prod(shape[k + 1 :]) for k in range(ndim)])
+    valid = (multi[:, None] + stencils.max(axis=1) < np.array(shape)).all(axis=-1)
+    return (np.arange(n)[:, None, None] + stencils @ stride)[valid]
+
+
+@functools.lru_cache(maxsize=64)
+def _cone_index(shape: tuple[int, ...], function_class: FunctionClass) -> tuple[np.ndarray, Families]:
+    """The class cone's index block on every grid of this shape, and its
+    ``families``.  It is read-only because the cache shares it."""
+    families = _FAMILIES[function_class]
+    blocks = [_family_index(shape, family) for family in families]
+    stops = np.cumsum([len(block) for block in blocks]).tolist()
+    idx = np.empty((stops[-1], max(block.shape[1] for block in blocks)), dtype=np.intp)
+    for block, stop in zip(blocks, stops):
+        rows, w = slice(stop - len(block), stop), block.shape[1]
+        idx[rows, :w] = block
+        idx[rows, w:] = block[:, -1:]
     idx.setflags(write=False)
-    return idx
+    return idx, tuple(zip(families, stops))
 
 
 @functools.lru_cache(maxsize=64)
@@ -282,29 +296,26 @@ def cone_size(shape: tuple[int, ...], function_class: FunctionClass) -> tuple[in
 def local_rows(grid: Grid, function_class: FunctionClass) -> ConeMatrix:
     """The class cone on this grid as one ``ConeMatrix``.
 
-    The node indices of each family are cached by grid shape; the
-    coefficients that depend on coordinates are recomputed from the grid on
-    every call: ``1/h1, -(1/h1 + 1/h2), 1/h2`` for componentwise-convex rows
-    and ``1, -1, -(x_j - x_i)`` for convex rows.  An index block of more
-    than ``simplex.TABLEAU_ENTRY_GUARD`` entries (rows x width) raises
+    ``idx`` is the index block that every grid of this shape shares, built
+    once; each call computes only the coefficients that depend on the
+    coordinates: ``1/h1, -(1/h1 + 1/h2), 1/h2`` for componentwise-convex
+    rows and ``1, -1, -(x_j - x_i)`` for convex rows.  A block of more than
+    ``simplex.TABLEAU_ENTRY_GUARD`` entries (rows x width) raises
     ``ValueError`` before any of it is built.
     """
-    families = _FAMILIES[function_class]
     n_rows, width, _ = cone_size(grid.shape, function_class)
     if n_rows * width > TABLEAU_ENTRY_GUARD:
         raise ValueError(
             f"{function_class.value} cone would be {n_rows} x {width} = {n_rows * width} "
             f"entries (guard {TABLEAU_ENTRY_GUARD}); reduce the grid"
         )
-    blocks = [_family_topology(grid.shape, family) for family in families]
-    stops = np.cumsum([len(block) for block in blocks])
-    idx = np.empty((n_rows, width), dtype=np.intp)
+    idx, families = _cone_index(grid.shape, function_class)
     coeff = np.zeros(idx.shape)
     nodes = grid.nodes
-    for family, block, stop in zip(families, blocks, stops):
-        rows, w = slice(stop - len(block), stop), block.shape[1]
-        idx[rows, :w] = block
-        idx[rows, w:] = block[:, -1:]
+    start = 0
+    for family, stop in families:
+        rows = slice(start, stop)
+        block, start = idx[rows], stop
         if family == "convex":
             # -(x_j - x_i), not x_i - x_j: a zero difference stays -0.0
             coeff[rows, :2] = (1.0, -1.0)
@@ -319,8 +330,8 @@ def local_rows(grid: Grid, function_class: FunctionClass) -> ConeMatrix:
             inv_h1 = 1.0 / (nodes[block[:, 1]] - nodes[block[:, 0]]).max(axis=1)
             inv_h2 = 1.0 / (nodes[block[:, 2]] - nodes[block[:, 1]]).max(axis=1)
             shared = np.stack([inv_h1, -(inv_h1 + inv_h2), inv_h2], axis=-1)
-        coeff[rows, :w] = shared
-    return ConeMatrix(idx, coeff, tuple(zip(families, stops.tolist())))
+        coeff[rows, : len(_LOCAL_FAMILIES[family].offsets)] = shared
+    return ConeMatrix(idx, coeff, families)
 
 
 # ---------------------------------------------------------------------------
@@ -377,38 +388,33 @@ def _difference_quotients(u: TabulatedUtility) -> Iterator[tuple[np.ndarray, ...
     return itertools.product(*options)
 
 
-#: Rows of the convex cone that one ``offer`` gathers at a time, so a
-#: candidate offered to many nodes copies a bounded share of the cone.
-_OFFER_CHUNK_ROWS = 1 << 16
-
-
 def _convex_membership(u: TabulatedUtility) -> MembershipResult:
-    """Certify every node by an explicit subgradient: a difference
-    quotient, else a certified neighbour's subgradient; solve a node's LP
-    only where none holds."""
+    """Certify every node by a subgradient checked on its own rows of the
+    cone: the one-sided difference quotients on every axis (2^K
+    combinations), then, in rounds until one certifies none, a certified
+    neighbour's, one axis and direction at a time (a kink node of a
+    max-affine U shares a piece with a neighbour).  Only then does the
+    first node still uncertified solve its LP, whose optimum above the
+    tolerance is the witness; else its subgradient is held and the rounds
+    resume.  A candidate only certifies a node whose LP optimum is within
+    the tolerance, so the verdict is that of one LP per node."""
     grid = u.grid
     n, k = grid.size, grid.ndim
     cone = local_rows(grid, FunctionClass.CONVEX)
     vals = u.values_array
-    block_rows = np.arange(n - 1)
-    chunk = max(1, _OFFER_CHUNK_ROWS // max(n - 1, 1))
     held = np.zeros((n, k))
     certified = np.zeros(n, dtype=bool)
 
     def offer(nodes: np.ndarray, g: np.ndarray) -> bool:
         """Certify each of ``nodes`` whose candidate ``g`` (one row per
-        node) leaves every row of the node's own block a slack of at least
+        node) leaves each of the node's own rows a slack of at least
         ``-MEMBERSHIP_TOL``; whether any was."""
         field = np.zeros((n, k))
         field[nodes] = g
         v = np.concatenate([vals, field.reshape(-1)])
-        hit = np.empty(len(nodes), dtype=bool)
-        for start in range(0, len(nodes), chunk):
-            part = nodes[start : start + chunk]
-            rows = (part[:, None] * (n - 1) + block_rows).reshape(-1)
-            block = ConeMatrix(cone.idx[rows], cone.coeff[rows], cone.families)
-            slack = block.margins(v).reshape(len(part), n - 1)
-            hit[start : start + chunk] = slack.min(axis=1, initial=np.inf) >= -MEMBERSHIP_TOL
+        rows = (nodes[:, None] * (n - 1) + np.arange(n - 1)).reshape(-1)
+        slack = cone.margins(v, rows).reshape(len(nodes), n - 1)
+        hit = slack.min(axis=1, initial=np.inf) >= -MEMBERSHIP_TOL
         certified[nodes[hit]] = True
         held[nodes[hit]] = g[hit]
         return bool(hit.any())
@@ -418,12 +424,13 @@ def _convex_membership(u: TabulatedUtility) -> MembershipResult:
         if not rest.size:
             break
         offer(rest, np.stack(choice, axis=1)[rest])
-    # grid neighbours along an axis are the (upper, lower) rows of that
-    # axis's increasing stencil
+    # the increasing cone's rows (upper, lower) pair the grid neighbours,
+    # an axis's one stride apart; axes of one node share a stride, not rows
+    upper, lower = _cone_index(grid.shape, FunctionClass.INCREASING)[0].T
     neighbours = []
-    for axis in range(k):
-        upper, lower = _family_topology(grid.shape, "increasing", axis).T
-        neighbours += [(lower, upper), (upper, lower)]
+    for stride in sorted({math.prod(grid.shape[a + 1 :]) for a in range(k)}, reverse=True):
+        on = upper - lower == stride
+        neighbours += [(lower[on], upper[on]), (upper[on], lower[on])]
     while True:
         # nodes in one affine piece share a subgradient: pass each held one
         # to the uncertified neighbours, axis by axis, until none takes it
@@ -465,21 +472,11 @@ def is_member(u: TabulatedUtility, function_class: FunctionClass) -> MembershipR
     within a family in C node order.
 
     The convex class needs a subgradient g at every node i with
-    ``max_j (g . (x_j - x_i) - (u_j - u_i)) <= tol``.  Each node first
-    tries the one-sided difference quotients on every axis (2^K
-    combinations), checked on its own rows of the cone by
-    ``ConeMatrix.margins``.  Then each uncertified node is offered the
-    subgradient of its certified neighbour, one axis and direction at a
-    time, in rounds until a round certifies none: a kink node of a
-    max-affine U shares an affine piece with a neighbour, and so its
-    subgradient.  Only then does the first node still uncertified, in C
-    order, solve the subgradient LP min_g max(that maximum, -1) over its
-    own rows; an optimum above ``tol`` is the witness, with margin
-    ``-v*``, and otherwise the LP's subgradient is held for that node and
-    the rounds resume.  A candidate only certifies a node whose LP optimum
-    is at most ``tol``, so the first failing node and its margin are those
-    of one LP per node.  A failed LP ends the test as a non-member with
-    margin ``-inf`` and ``reason`` naming the LP status.
+    ``max_j (g . (x_j - x_i) - (u_j - u_i)) <= tol``; the witness is the
+    first node in C order with none, with margin ``-v*`` for ``v*`` the
+    optimum of its LP min_g max(that maximum, -1).  A failed LP ends the
+    test as a non-member with margin ``-inf`` and ``reason`` naming the LP
+    status.
     """
     if function_class is FunctionClass.CONVEX:
         return _convex_membership(u)

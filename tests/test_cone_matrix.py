@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import mcsearch.dominance as dominance_module
 from mcsearch import FunctionClass, dominates, is_member, make_grid, make_pmf, random_member, tabulate
-from mcsearch.utility import _FAMILIES, MEMBERSHIP_TOL, _family_topology, cone_size, local_rows
+from mcsearch.utility import _FAMILIES, MEMBERSHIP_TOL, cone_size, local_rows
 from cone_oracle import (
     ROW_BUILDERS,
     builds_cone_lp,
@@ -223,13 +223,16 @@ class TestConeMatrix:
             assert _bits(np.array(res.witness.margin)) == _bits(np.array(want.witness.margin))
 
     def test_topology_is_shared_and_read_only(self):
-        a = local_rows(make_grid([[0.0, 1.0, 3.0], [0.0, 2.0]]), FunctionClass.INCREASING)
-        b = local_rows(make_grid([[5.0, 6.0, 9.0], [1.0, 4.0]]), FunctionClass.INCREASING)
-        assert np.array_equal(a.idx, b.idx)
-        block = _family_topology((3, 2), "increasing")
-        assert not block.flags.writeable
-        with pytest.raises(ValueError):
-            block[0, 0] = 1
+        """Every class, padded conjunctions included, gives two grids of
+        one shape its one cached index block itself, which cannot be
+        written."""
+        for fc in FunctionClass:
+            a = local_rows(make_grid([[0.0, 1.0, 3.0], [0.0, 2.0, 2.5]]), fc)
+            b = local_rows(make_grid([[5.0, 6.0, 9.0], [1.0, 4.0, 7.0]]), fc)
+            assert a.idx is b.idx
+            assert not a.idx.flags.writeable
+            with pytest.raises(ValueError):
+                a.idx[0, 0] = 1
 
     def test_layout_digest_is_pinned(self):
         """Node indices, coefficients and family ends of every class cone,

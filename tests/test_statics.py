@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -220,6 +221,21 @@ class TestSuites:
             SuiteConfig("T2a", 1, 0, jobs=1.5)
         assert run_suite(SuiteConfig("T3", np.int64(2), np.int32(4))) == run_suite(SuiteConfig("T3", 2, 4))
 
+    def test_grid_shape_is_checked(self):
+        """``(True, 3)`` once ran a 1x3 suite, ``(2.5, 3)`` failed with a
+        ``TypeError`` deep in grid generation and ``(3, 0)`` with numpy's
+        negative dimensions."""
+        for shape, message in [
+            ((True, 3), "grid_shape must be an integer, got True"),
+            ((2.5, 3), "grid_shape must be an integer, got 2.5"),
+            ((3, 0), "grid_shape must be at least 1, got 0"),
+            ((), "grid_shape needs at least one axis"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                SuiteConfig("T2a", 1, 0, grid_shape=shape)
+        wide = SuiteConfig("T2a", 2, 0, grid_shape=(np.int64(3), 2))
+        assert run_suite(wide).records == run_suite(SuiteConfig("T2a", 2, 0, grid_shape=(3, 2))).records
+
     def test_fractional_seed_or_case_index_is_refused(self):
         """``generate_case`` once truncated both: seed 1.7 gave seed 1's
         case and case index 1.9 case 1's."""
@@ -264,6 +280,16 @@ class TestClosure:
             closure_check(FunctionClass.INCREASING, "negate", 3, seed=0)
         with pytest.raises(ValueError, match="sample"):
             closure_check(FunctionClass.INCREASING, "truncate", 0, seed=0)
+
+    def test_sample_count_must_be_an_integer(self):
+        """``True`` once ran one sample and reported ``samples = True``;
+        2.0 and 2.5 raised numpy's ``TypeError``."""
+        for samples in (True, 2.0, 2.5, "3"):
+            with pytest.raises(ValueError, match="samples must be an integer"):
+                closure_check(FunctionClass.INCREASING, "truncate", samples, seed=0)
+        rep = closure_check(FunctionClass.INCREASING, "truncate", np.int64(2), seed=0)
+        assert rep.samples == 2 and type(rep.samples) is int
+        assert rep == closure_check(FunctionClass.INCREASING, "truncate", 2, seed=0)
 
 
 class TestConcordancePath:

@@ -247,11 +247,9 @@ class TestConvexMembership:
             assert all(is_member(u, FunctionClass.CONVEX).member for u in members)
         assert lp.call_count <= 16
 
-    def test_offers_gathered_one_node_at_a_time_keep_the_verdict(self, monkeypatch):
-        """With one node's rows per gather, as on grids of more than 256
-        nodes, members and non-members get the verdict of one LP per
-        node."""
-        monkeypatch.setattr(utility_module, "_OFFER_CHUNK_ROWS", 1)
+    def test_offers_keep_the_verdict_of_one_lp_per_node(self):
+        """Candidates checked on their nodes' rows of the shared cone give
+        members and non-members the verdict of one LP per node."""
         rng = np.random.default_rng(3)
         for shape in [(3, 3), (4, 4), (3, 3, 3)]:
             grid = _random_grid(rng, shape)
@@ -359,7 +357,7 @@ class TestConeGuard:
         def build(*args):
             raise AssertionError("cone built past the guard")
 
-        monkeypatch.setattr(utility_module, "_family_topology", build)
+        monkeypatch.setattr(utility_module, "_cone_index", build)
         message = r"convex cone would be 12956400 x 4 = 51825600 entries \(guard 33554432\)"
         with pytest.raises(ValueError, match=message):
             is_member(tabulate(grid, np.zeros(grid.size)), FunctionClass.CONVEX)
@@ -367,20 +365,23 @@ class TestConeGuard:
             random_member(FunctionClass.CONVEX, grid, np.random.default_rng(0))
 
     def test_convex_membership_holds_three_index_blocks(self):
-        """A warm 30x30 convex ``is_member`` peaks at the cone's indices,
-        its coefficients and their build temporaries: the candidates'
-        checks gather the cone a bounded share at a time."""
-        axis = [float(x) for x in range(30)]
-        grid = make_grid([axis, axis])
-        x1, x2 = grid.nodes.T
-        u = tabulate(grid, np.maximum(x1, x2) + 0.1 * (x1 - 10.0) ** 2)
-        utility_module.local_rows(grid, FunctionClass.CONVEX)
-        rows, width, _ = utility_module.cone_size(grid.shape, FunctionClass.CONVEX)
-        block = rows * width * 8
-        tracemalloc.start()
-        try:
-            assert is_member(u, FunctionClass.CONVEX).member
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.05 * block
+        """A cold-cache convex ``is_member`` on a 30x30 grid peaks at three
+        index blocks: the block it caches, the coefficients and the
+        row-length vectors of one candidate check, which reads the block in
+        place.  With the block cached, two.  On a 900-node axis a row is
+        narrower, so the row-length vectors weigh 4/3 of a block, not 1."""
+        for axes, cold, warm in [([range(30)] * 2, 3.05, 2.05), ([range(900)], 3.4, 2.4)]:
+            grid = make_grid([[float(x) for x in axis] for axis in axes])
+            x = grid.nodes
+            u = tabulate(grid, x.max(axis=1) + 0.1 * (x[:, 0] - 10.0) ** 2)
+            rows, width, _ = utility_module.cone_size(grid.shape, FunctionClass.CONVEX)
+            block = rows * width * 8
+            utility_module._cone_index.cache_clear()
+            for bound in (cold, warm):
+                tracemalloc.start()
+                try:
+                    assert is_member(u, FunctionClass.CONVEX).member
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= bound * block
