@@ -10,7 +10,10 @@ intersected with the box 0 <= U <= 1.  A nonnegative minimum proves
 dominance; a negative one yields a witness utility function violating it.
 On grids of at most two axes the increasing and increasing-supermodular
 minima have closed forms, over staircase upper sets and upper orthants
-(Müller & Stoyan 2002, §3.9); every other query solves the LP.
+(Müller & Stoyan 2002, §3.9).  A convex query whose gap has no first
+moment first tries a martingale coupling of G's excess onto F's (Strassen
+1965), a certificate of the convex order; every other query, and every
+convex one the coupling does not certify, solves the LP.
 
 Also provides the three constructive generators of dominance pairs (upward
 mass shift, mean-preserving spread, concordance transfer).
@@ -23,9 +26,10 @@ from typing import Sequence
 import numpy as np
 
 from .grids import Grid, Pmf, common_grid, expectation
-from .simplex import LpResult, solve_lp, tableau_shape
+from .simplex import TABLEAU_ENTRY_GUARD, LpResult, solve_lp, tableau_shape
 from .utility import (
     MEMBERSHIP_TOL,
+    ConeMatrix,
     FunctionClass,
     TabulatedUtility,
     cone_size,
@@ -41,7 +45,7 @@ class DominanceResult:
 
     verdict is ``dominates``, ``fails`` or ``inconclusive``; ``lp_optimum``
     is the minimal expectation gap over the normalized class section (0.0,
-    the gap of U = 0, on a closed-form ``dominates``), and
+    the gap of U = 0, on a closed-form or coupling ``dominates``), and
     ``witness`` (present exactly when the verdict is ``fails``) is a class
     member whose expectation gap is below ``-MEMBERSHIP_TOL``.
     """
@@ -65,29 +69,50 @@ def dominates(f: Pmf, g: Pmf, function_class: FunctionClass) -> DominanceResult:
     minimum of at least ``-MEMBERSHIP_TOL`` (fixed, not set per call) is
     ``dominates``.
 
-    On grids of at most two axes the ``increasing`` and
-    ``increasing_supermodular`` minima have closed forms (a 1-D grid is
+    The routes, in order.  On grids of at most two axes the ``increasing``
+    and ``increasing_supermodular`` minima have closed forms (a 1-D grid is
     their one-row case): the least gap over the staircase upper sets
     (``_staircase_minimum``) and over the upper orthants
-    (``_orthant_minimum``).  Their ``dominates`` reports the gap of
-    ``U = 0``, 0.0.  Every other class and grid solves the cone LP
-    (``_cone_lp``).  On ``fails`` the minimiser is the witness, and it is
-    certified the same way on either route.
+    (``_orthant_minimum``).  A ``convex`` query tries a martingale coupling
+    of the excess (``_martingale_coupling``) unless the gap's first moment
+    on some axis, taken from the axis's low end, exceeds ``MEMBERSHIP_TOL``
+    times the axis span: then a normalised linear U already shows a
+    failure.  A closed-form or coupling ``dominates`` reports the gap of
+    ``U = 0``, 0.0, and builds no cone.  Every other query solves the cone
+    LP (``_cone_lp``).  On ``fails`` the minimiser is
+    the witness, its gap is recomputed by direct summation, and it is
+    re-verified as a class member: a convex LP witness by its own
+    subgradients on every cone row, and by ``is_member`` only where one of
+    those rows falls below ``-MEMBERSHIP_TOL``.
     """
     grid, fe, ge = common_grid(f, g)
     gap = fe.mass_array - ge.mass_array
     closed_form = _CLOSED_FORMS.get(function_class) if grid.ndim <= 2 else None
+    member = False
     if closed_form is not None:
         optimum, values = closed_form(gap.reshape(-1, grid.shape[-1]))
         if optimum >= -MEMBERSHIP_TOL:
             return DominanceResult("dominates", 0.0, None)
     else:
-        res = _cone_lp(grid, gap, function_class)
+        if function_class is FunctionClass.CONVEX:
+            # a first moment past the tolerance fails on a normalised linear
+            # U, (x_k - low_k) / span_k or one minus it; taken from the low
+            # end, an axis of one node has none
+            low = np.array([axis[0] for axis in grid.axes])
+            span = np.array([axis[-1] for axis in grid.axes]) - low
+            moment = np.abs(gap @ (grid.nodes - low))
+            if (moment <= MEMBERSHIP_TOL * span).all() and _martingale_coupling(grid, gap):
+                return DominanceResult("dominates", 0.0, None)
+        res, cone = _cone_lp(grid, gap, function_class)
         if not res.ok:
             return DominanceResult("inconclusive", None, None, reason=f"LP status: {res.status}")
         optimum, values = res.fun, res.x[: grid.size]
         if optimum >= -MEMBERSHIP_TOL:
             return DominanceResult("dominates", optimum, None)
+        # the convex LP's point holds a subgradient per node beside the values
+        member = function_class is FunctionClass.CONVEX and bool(
+            (cone.margins(res.x) >= -MEMBERSHIP_TOL).all()
+        )
     # certify the counterexample before reporting a failure: the witness must
     # re-test as a class member and its gap, recomputed by direct summation,
     # must genuinely fall below -MEMBERSHIP_TOL
@@ -97,15 +122,75 @@ def dominates(f: Pmf, g: Pmf, function_class: FunctionClass) -> DominanceResult:
         return DominanceResult(
             "inconclusive", optimum, None, reason="LP minimum not confirmed by direct summation"
         )
-    if not is_member(witness, function_class):
+    if not (member or is_member(witness, function_class)):
         return DominanceResult(
             "inconclusive", optimum, None, reason="LP witness failed class re-verification"
         )
     return DominanceResult("fails", recomputed, witness)
 
 
-def _cone_lp(grid: Grid, gap: np.ndarray, function_class: FunctionClass) -> LpResult:
-    """Minimize ``gap . U`` over the class cone within ``0 <= U <= 1``.
+def _martingale_coupling(grid: Grid, gap: np.ndarray) -> bool:
+    """Whether a martingale coupling of G's excess onto F's certifies that
+    F dominates G on the convex class (Strassen 1965).
+
+    G's excess sits at the sources ``a`` (``gap < 0``), F's at the sinks
+    ``b`` (``gap > 0``).  A coupling ``pi_ab >= 0`` moves each source's
+    ``-gap_a`` onto the sinks, fills each sink's ``gap_b`` and keeps each
+    source's mean, ``sum_b pi_ab (x_b - x_a) = 0``.  Then for convex U with
+    subgradient ``s_a`` at each source, ``sum(gap * U) = sum_ab pi_ab (U_b -
+    U_a) >= sum_a s_a . sum_b pi_ab (x_b - x_a) = 0``.
+
+    Phase 1 of ``solve_lp`` looks for ``pi``, unless ``tableau_shape``
+    refuses the program, in which case the answer is no.  Its point, clipped at 0 (a basic value can sit at
+    -1e-18), is taken only when every residual, recomputed by direct
+    summation, is within ``MEMBERSHIP_TOL``.  The martingale rows sum to
+    the gap's first moment, so ``dominates`` tries only a gap whose moment
+    vanishes.
+    """
+    src, snk = np.flatnonzero(gap < 0), np.flatnonzero(gap > 0)
+    n_src, n_snk, k = src.size, snk.size, grid.ndim
+    pi = np.zeros((n_src, n_snk))
+    n_rows = n_src + n_snk + n_src * k
+    # the tableau has more than rows x variables entries: a program past
+    # the guard by that count alone is refused before a bound per variable
+    # is spelled out
+    if n_rows * pi.size > TABLEAU_ENTRY_GUARD:
+        return False
+    step = grid.nodes[snk] - grid.nodes[src][:, None]  # (source, sink, axis)
+    if pi.size:
+        bounds = [(0.0, None)] * pi.size
+        try:
+            tableau_shape(0, n_rows, bounds)
+        except ValueError:
+            return False
+        # pi_ab is column a * n_snk + b; rows: source sums, sink sums, then
+        # each source's martingale rows, one per axis
+        col = np.arange(pi.size)
+        a_eq = np.zeros((n_rows, pi.size))
+        a_eq[col // n_snk, col] = 1.0
+        a_eq[n_src + col % n_snk, col] = 1.0
+        martingale = n_src + n_snk + (col // n_snk)[:, None] * k + np.arange(k)
+        a_eq[martingale, col[:, None]] = step.reshape(-1, k)
+        b_eq = np.concatenate([-gap[src], gap[snk], np.zeros(n_src * k)])
+        res = solve_lp(np.zeros(pi.size), a_eq=a_eq, b_eq=b_eq, bounds=bounds)
+        if not res.ok:
+            return False
+        pi = np.maximum(res.x, 0.0).reshape(pi.shape)
+    residual = np.concatenate(
+        [
+            pi.sum(axis=1) + gap[src],
+            pi.sum(axis=0) - gap[snk],
+            np.einsum("ab,abk->ak", pi, step).reshape(-1),
+        ]
+    )
+    return bool((np.abs(residual) <= MEMBERSHIP_TOL).all())
+
+
+def _cone_lp(
+    grid: Grid, gap: np.ndarray, function_class: FunctionClass
+) -> tuple[LpResult, ConeMatrix]:
+    """Minimize ``gap . U`` over the class cone within ``0 <= U <= 1``; the
+    solve and the cone it read.
 
     Every class builds this LP the same way from its ``ConeMatrix``; the
     variables past the values (convex subgradients) are free and follow
@@ -124,7 +209,7 @@ def _cone_lp(grid: Grid, gap: np.ndarray, function_class: FunctionClass) -> LpRe
     # cone row >= 0 becomes -row <= 0; padding subtracts zeros
     np.subtract.at(a_ub, (np.arange(len(cone))[:, None], cone.idx), cone.coeff)
     c = np.concatenate([gap, np.zeros(n_vars - n)])
-    return solve_lp(c, a_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), bounds=bounds)
+    return solve_lp(c, a_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), bounds=bounds), cone
 
 
 def _orthant_minimum(gap: np.ndarray) -> tuple[float, np.ndarray]:

@@ -263,13 +263,15 @@ class TestSubcommands:
         assert "upward shifts need an axis with at least 2 nodes" in capsys.readouterr().err
 
     def test_dominance_lp_past_the_tableau_guard_exits_2(self, tmp_path, capsys):
+        # g moves node 0's mass to node 1: the means differ, so the pair
+        # goes to the cone LP and its guard
         n = 79
         path = write_json(
             tmp_path / "convex.json",
             {
                 "schema_version": 1,
                 "grid": {"axes": [list(range(n))]},
-                "pmfs": {"f": [1.0 / n] * n, "g": [1.0 / n] * n},
+                "pmfs": {"f": [1.0 / n] * n, "g": [0.0, 2.0 / n] + [1.0 / n] * (n - 2)},
                 "options": {"class": "convex"},
             },
         )

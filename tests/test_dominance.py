@@ -1,9 +1,11 @@
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 import mcsearch.dominance as dominance_module
 import mcsearch.simplex as simplex_module
@@ -24,12 +26,27 @@ from mcsearch import (
     tabulate,
 )
 from mcsearch.simplex import LpResult
-from mcsearch.statics import generate_case
+from mcsearch.statics import generate_case, verify_theorem
 from mcsearch.utility import MEMBERSHIP_TOL, MembershipResult
-from cone_oracle import CLOSED_FORM_CLASSES, builds_cone_lp, dominates_increasing_bruteforce
+from cone_oracle import (
+    CLOSED_FORM_CLASSES,
+    builds_cone_lp,
+    dominates_increasing_bruteforce,
+    oracle_convex_program,
+)
 from conftest import random_grid, random_pmf
 
 FC = FunctionClass
+
+
+def _uniform_and_shifted(grid, stride):
+    """The uniform pmf, and it with node 0's mass moved to node ``stride``
+    (one step along an axis): a pair whose means differ."""
+    f = make_pmf(grid, [1.0 / grid.size] * grid.size)
+    mass = f.mass_array.copy()
+    mass[stride] += mass[0]
+    mass[0] = 0.0
+    return f, make_pmf(grid, mass)
 
 
 class TestVerdicts:
@@ -122,10 +139,11 @@ class TestVerdicts:
 
     def test_entry_guard_stops_before_the_cone_is_built(self, monkeypatch):
         # the convex cone has 2,558,400 rows: a 98 GB constraint matrix and
-        # a 2,560,000 x 2,568,001 tableau
+        # a 2,560,000 x 2,568,001 tableau.  g moves one node's mass a step
+        # along axis 0, so the means differ and the pair goes to the cone LP
         axis = [float(x) for x in range(40)]
         grid = make_grid([axis, axis])
-        f = make_pmf(grid, [1.0 / grid.size] * grid.size)
+        f, g = _uniform_and_shifted(grid, stride=40)
 
         def build(*args):
             raise AssertionError("cone built past the entry guard")
@@ -133,20 +151,61 @@ class TestVerdicts:
         monkeypatch.setattr(dominance_module, "local_rows", build)
         start = time.perf_counter()
         with pytest.raises(ValueError, match=r"LP tableau would be 2560000 x 2568001 = \d+ entries \(guard"):
-            dominates(f, f, FC.CONVEX)
+            dominates(f, g, FC.CONVEX)
         assert time.perf_counter() - start < 2.0
+
+    def test_coupling_decides_an_equal_pair_past_the_guard(self, monkeypatch):
+        # the 40x40 convex query whose cone the entry guard refuses: an
+        # empty excess is coupled without an LP
+        axis = [float(x) for x in range(40)]
+        grid = make_grid([axis, axis])
+        f = make_pmf(grid, [1.0 / grid.size] * grid.size)
+
+        def build(*args, **kwargs):
+            raise AssertionError("cone LP built for an empty excess")
+
+        monkeypatch.setattr(dominance_module, "local_rows", build)
+        monkeypatch.setattr(dominance_module, "solve_lp", build)
+        start = time.perf_counter()
+        assert dominates(f, f, FC.CONVEX) == DominanceResult("dominates", 0.0, None)
+        assert time.perf_counter() - start < 2.0
+
+    def test_coupling_past_the_guard_is_not_tried(self, monkeypatch):
+        # a mean-matched 40x40 pair has about 800 sources and 800 sinks: a
+        # coupling of some 640,000 variables, refused by its size before a
+        # bound per variable is spelled out; the cone LP's guard then speaks
+        axis = [float(x) for x in range(40)]
+        f, g = _mean_matched_pair(np.random.default_rng(0), make_grid([axis, axis]))
+        shapes = []
+        predict = dominance_module.tableau_shape
+
+        def recording_predict(n_ub, n_eq, bounds, *args):
+            shapes.append((n_ub, n_eq, len(bounds)))
+            return predict(n_ub, n_eq, bounds, *args)
+
+        def build(*args, **kwargs):
+            raise AssertionError("LP built past the guard")
+
+        monkeypatch.setattr(dominance_module, "tableau_shape", recording_predict)
+        monkeypatch.setattr(dominance_module, "local_rows", build)
+        monkeypatch.setattr(dominance_module, "solve_lp", build)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"LP tableau would be 2560000 x 2568001 = \d+ entries \(guard"):
+            dominates(f, g, FC.CONVEX)
+        assert time.perf_counter() - start < 2.0
+        assert shapes == [(1600 * 1599, 0, 1600 * 3)]
 
     def test_tableau_guard_counts_the_tableau_not_the_constraints(self, monkeypatch):
         # 6,162 x 158 constraint entries, but a 6,241 x 6,479 tableau (308 MiB)
         grid = make_grid([[float(x) for x in range(79)]])
-        f = make_pmf(grid, [1.0 / grid.size] * grid.size)
+        f, g = _uniform_and_shifted(grid, stride=1)
 
         def build(*args):
             raise AssertionError("cone built past the tableau guard")
 
         monkeypatch.setattr(dominance_module, "local_rows", build)
         with pytest.raises(ValueError, match=r"LP tableau would be 6241 x 6479 = 40435439 entries"):
-            dominates(f, f, FC.CONVEX)
+            dominates(f, g, FC.CONVEX)
 
     @pytest.mark.parametrize("shape", [(5,), (2, 3), (3, 3), (2, 2, 2)])
     def test_predicted_tableau_is_the_one_allocated(self, shape, monkeypatch):
@@ -175,6 +234,152 @@ class TestVerdicts:
             # to the witness's membership LPs
             assert len(predicted) == 1 and allocated, fc
             assert allocated[0] == predicted[0], fc
+
+
+def _spread_pair(rng, grid):
+    """(F, G): G random, F from it by one to three mean-preserving spreads,
+    each at a random interior node of a random axis of length >= 3."""
+    g = random_pmf(grid, rng)
+    f = g
+    axes = [k for k, extent in enumerate(grid.shape) if extent >= 3]
+    for _ in range(int(rng.integers(1, 4))):
+        axis = int(rng.choice(axes))
+        multi = [int(rng.integers(extent)) for extent in grid.shape]
+        multi[axis] = int(rng.integers(1, grid.shape[axis] - 1))
+        i = grid.flat_index(multi)
+        f = mean_preserving_spread(f, axis, grid.node(i), f.mass[i] * float(rng.uniform(0.2, 0.9)))
+    return f, g
+
+
+def _mean_matched_pair(rng, grid):
+    """(F, G): F random, G = F + t * d with d a random direction of zero
+    mass and zero first moment, and t short of the largest step that keeps
+    G nonnegative."""
+    f = random_pmf(grid, rng)
+    moments = np.vstack([np.ones(grid.size), grid.nodes.T])
+    r = rng.normal(size=grid.size)
+    d = r - moments.T @ np.linalg.lstsq(moments.T, r, rcond=None)[0]
+    longest = np.min(f.mass_array[d < 0] / -d[d < 0])
+    return f, make_pmf(grid, f.mass_array + longest * float(rng.uniform(0.2, 0.95)) * d)
+
+
+def _no_cone(*args):
+    raise AssertionError("cone built on the coupling route")
+
+
+def _convex_minimum_highs(grid, gap):
+    c, a_ub, b_ub, bounds = oracle_convex_program(grid, gap)
+    ref = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    assert ref.status == 0, ref.message
+    return float(ref.fun)
+
+
+class TestCoupling:
+    """Convex ``dominates`` by a martingale coupling of G's excess onto F's."""
+
+    @pytest.mark.parametrize(
+        "seed,case_id,shape",
+        [(11, 1, (3, 3, 3)), (11, 10, (3, 3, 3)), (11, 11, (3, 3, 3)), (41, 0, (3, 3, 3)), (71, 2, (5, 5))],
+    )
+    def test_cone_lp_stalls_pass(self, seed, case_id, shape):
+        # the cone LP stalled on each of these (37-162 s, then vacuous)
+        case = generate_case("T2b", case_id, seed, shape)
+        start = time.perf_counter()
+        report = verify_theorem(case)
+        assert time.perf_counter() - start < 1.0
+        assert report.status == "pass"
+        assert report.premise_dominance == DominanceResult("dominates", 0.0, None)
+
+    def test_shifted_mean_goes_straight_to_the_cone_lp(self, monkeypatch):
+        """An upward shift moves the mean, so the coupling LP never runs; the
+        cone LP's own subgradients certify its witness without is_member."""
+        g = make_pmf(make_grid([[0.0, 1.0, 3.0], [0.0, 1.0, 2.0]]), [1.0 / 9] * 9)
+        f = fosd_shift(g, (1.0, 1.0), (3.0, 2.0), 0.05)
+        calls = []
+        solve = dominance_module.solve_lp
+
+        def counting(*args, **kwargs):
+            calls.append("coupling" if kwargs.get("a_eq") is not None else "cone")
+            return solve(*args, **kwargs)
+
+        def no_member(*args):
+            raise AssertionError("witness re-verified by is_member")
+
+        monkeypatch.setattr(dominance_module, "solve_lp", counting)
+        monkeypatch.setattr(dominance_module, "is_member", no_member)
+        res = dominates(g, f, FC.CONVEX)
+        assert calls == ["cone"]
+        assert res.verdict == "fails" and is_member(res.witness, FC.CONVEX)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        shape=st.sampled_from(
+            [(3,), (5,), (2, 3), (1, 4), (3, 3), (3, 4), (4, 4), (2, 2, 3), (3, 1, 3), (3, 3, 3)]
+        ),
+        spread=st.booleans(),
+        swap=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_highs(self, shape, spread, swap, seed):
+        """A coupling ``dominates`` needs a HiGHS cone minimum of at least
+        -1e-6; a pair below it is never coupled, and comes back ``fails``.
+        Every chain of spreads is coupled, on grids with an axis of one
+        node too, and a coupling with one entry moved by 1e-6 is refused.
+
+        ``fails`` comes from the cone LP, which on 4x4 and 3x3x3 can end
+        ``iteration_limit`` or ``numerical`` after 5 to 130 s (1 of 600
+        such 4x4 pairs, 6 of 160 3x3x3 ones), so it is asserted on grids
+        of at most 12 nodes."""
+        rng = np.random.default_rng(seed)
+        grid = random_grid(rng, shape)
+        f, g = (_spread_pair if spread else _mean_matched_pair)(rng, grid)
+        if swap:
+            f, g = g, f
+        gap = f.mass_array - g.mass_array
+        minimum = _convex_minimum_highs(grid, gap)
+        coupled = dominance_module._martingale_coupling(grid, gap)
+        if spread and not swap:
+            assert coupled
+        if coupled:
+            assert minimum >= -1e-6
+            with mock.patch.object(dominance_module, "local_rows", _no_cone):
+                assert dominates(f, g, FC.CONVEX) == DominanceResult("dominates", 0.0, None)
+            solve = dominance_module.solve_lp
+
+            def perturbed(*args, **kwargs):
+                lp = solve(*args, **kwargs)
+                x = lp.x.copy()
+                x[rng.integers(x.size)] += 1e-6
+                return LpResult(lp.status, x, lp.fun)
+
+            with mock.patch.object(dominance_module, "solve_lp", perturbed):
+                assert not dominance_module._martingale_coupling(grid, gap)
+        elif minimum < -1e-6 and grid.size <= 12:
+            assert dominates(f, g, FC.CONVEX).verdict == "fails"
+
+    def test_a_dropped_martingale_row_is_refused(self, monkeypatch):
+        """The residual check sums every martingale row itself.  The rows
+        add up to the gap's first moment, so a dropped row is implied by
+        the others whenever the moment vanishes; this pair's moment is 0.1,
+        so the program without source 2's row is feasible and its coupling
+        breaks that row by 0.1."""
+        grid = make_grid([[0.0, 1.0, 2.0, 3.0]])
+        f = make_pmf(grid, [0.2, 0.3, 0.2, 0.3])
+        g = make_pmf(grid, [0.0, 0.5, 0.5, 0.0])
+        gap = f.mass_array - g.mass_array
+        solve = dominance_module.solve_lp
+        solved = []
+
+        def dropped(c, a_eq, b_eq, bounds):
+            lp = solve(c, a_eq=a_eq[:-1], b_eq=b_eq[:-1], bounds=bounds)
+            solved.append(lp.status)
+            return lp
+
+        monkeypatch.setattr(dominance_module, "solve_lp", dropped)
+        assert not dominance_module._martingale_coupling(grid, gap)
+        assert solved == ["optimal"]
+        monkeypatch.setattr(dominance_module, "solve_lp", solve)
+        assert not dominance_module._martingale_coupling(grid, gap)
 
 
 class TestInconclusive:
@@ -211,6 +416,30 @@ class TestInconclusive:
         assert res.lp_optimum == pytest.approx(-0.25, abs=1e-9)
         assert res.reason == "LP witness failed class re-verification"
 
+    def test_convex_witness_without_its_subgradients_goes_to_is_member(self, pair, monkeypatch):
+        """A convex LP point whose subgradients leave a cone row below the
+        tolerance is re-verified by ``is_member``, which decides."""
+        solve = dominance_module.solve_lp
+        checked = []
+
+        def flat_subgradients(c, **kwargs):
+            lp = solve(c, **kwargs)
+            x = lp.x.copy()
+            x[2:] = 0.0
+            return LpResult(lp.status, x, lp.fun)
+
+        def rejecting(u, fc):
+            checked.append(u.values)
+            return MembershipResult(False, fc, None)
+
+        monkeypatch.setattr(dominance_module, "solve_lp", flat_subgradients)
+        monkeypatch.setattr(dominance_module, "is_member", rejecting)
+        res = dominates(*pair, FC.CONVEX)
+        assert checked == [(0.0, 1.0)]
+        assert res == DominanceResult(
+            "inconclusive", -0.25, None, "LP witness failed class re-verification"
+        )
+
 
 #: 1-D grids and 2-D grids from 1x2 to 8x8.
 CLOSED_FORM_SHAPES = st.one_of(
@@ -243,7 +472,7 @@ class TestClosedForms:
         res = dominates(f, g, fc)
         grid, fe, ge = common_grid(f, g)
         gap = fe.mass_array - ge.mass_array
-        lp = dominance_module._cone_lp(grid, gap, fc)
+        lp, _ = dominance_module._cone_lp(grid, gap, fc)
         assert lp.ok
         assert res.verdict == ("dominates" if lp.fun >= -MEMBERSHIP_TOL else "fails")
         assert abs(res.lp_optimum - lp.fun) <= 1e-9

@@ -7,8 +7,12 @@ index-array matrices, the ``solve``, ``dominate``, single-case
 moved to one option table, and the convex ``verify`` suite and ``dominate``
 failure before the convex cone became a ``ConeMatrix``, and the convex
 clamp closure before convex membership passed subgradients between
-neighbouring nodes.  Scenario paths appear in the report header, so
-each command runs from the data directory with a relative path.
+neighbouring nodes.  The convex spread ``dominate`` report and the seed-11
+3x3x3 T2b suite were written when convex dominance first tried a
+martingale coupling; that suite's rows other than cases 1, 10 and 11
+(vacuous before, after the cone LP stalled) equal the ones written
+without it.  Scenario paths appear in the report header, so each
+command runs from the data directory with a relative path.
 """
 import contextlib
 import io
@@ -30,6 +34,8 @@ CASES = [("verify", f"verify_{t}", f"verify_{t}.jsonl", 0) for t in ("T2a", "T2b
     ("dominate", "dominate_supermodular", "dominate_supermodular.jsonl", 0),
     ("dominate", "dominate_increasing_fails", "dominate_increasing_fails.jsonl", 1),
     ("dominate", "dominate_convex_fails", "dominate_convex_fails.jsonl", 1),
+    ("dominate", "dominate_convex_spread", "dominate_convex_spread.jsonl", 0),
+    ("verify", "verify_T2b_3x3x3", "verify_T2b_3x3x3.jsonl", 0),
     ("verify", "verify_single_T3", "verify_single_T3.jsonl", 0),
     ("simulate", "simulate_reservation", "simulate_reservation.jsonl", 0),
     ("verify", "verify_T2a", "verify_T2a.txt", 0),
