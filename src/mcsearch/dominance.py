@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .grids import Grid, Pmf, common_grid, expectation
-from .simplex import TABLEAU_ENTRY_GUARD, LpResult, solve_lp, tableau_shape
+from .simplex import LpResult, solve_lp, tableau_shape
 from .utility import (
     MEMBERSHIP_TOL,
     ConeMatrix,
@@ -81,9 +81,9 @@ def dominates(f: Pmf, g: Pmf, function_class: FunctionClass) -> DominanceResult:
     ``U = 0``, 0.0, and builds no cone.  Every other query solves the cone
     LP (``_cone_lp``).  On ``fails`` the minimiser is
     the witness, its gap is recomputed by direct summation, and it is
-    re-verified as a class member: a convex LP witness by its own
-    subgradients on every cone row, and by ``is_member`` only where one of
-    those rows falls below ``-MEMBERSHIP_TOL``.
+    re-verified as a class member: an LP witness by the LP's own point on
+    every row of the cone it solved, and by ``is_member`` only where one of
+    those rows falls below ``-MEMBERSHIP_TOL``; a closed-form one always.
     """
     grid, fe, ge = common_grid(f, g)
     gap = fe.mass_array - ge.mass_array
@@ -109,10 +109,8 @@ def dominates(f: Pmf, g: Pmf, function_class: FunctionClass) -> DominanceResult:
         optimum, values = res.fun, res.x[: grid.size]
         if optimum >= -MEMBERSHIP_TOL:
             return DominanceResult("dominates", optimum, None)
-        # the convex LP's point holds a subgradient per node beside the values
-        member = function_class is FunctionClass.CONVEX and bool(
-            (cone.margins(res.x) >= -MEMBERSHIP_TOL).all()
-        )
+        # the LP's point: the witness's values, then any convex subgradients
+        member = bool((cone.margins(res.x) >= -MEMBERSHIP_TOL).all())
     # certify the counterexample before reporting a failure: the witness must
     # re-test as a class member and its gap, recomputed by direct summation,
     # must genuinely fall below -MEMBERSHIP_TOL
@@ -140,42 +138,38 @@ def _martingale_coupling(grid: Grid, gap: np.ndarray) -> bool:
     subgradient ``s_a`` at each source, ``sum(gap * U) = sum_ab pi_ab (U_b -
     U_a) >= sum_a s_a . sum_b pi_ab (x_b - x_a) = 0``.
 
-    Phase 1 of ``solve_lp`` looks for ``pi``, unless ``tableau_shape``
-    refuses the program, in which case the answer is no.  Its point, clipped at 0 (a basic value can sit at
-    -1e-18), is taken only when every residual, recomputed by direct
-    summation, is within ``MEMBERSHIP_TOL``.  The martingale rows sum to
-    the gap's first moment, so ``dominates`` tries only a gap whose moment
-    vanishes.
+    ``tableau_shape(0, rows, sources x sinks)`` sizes the program from its
+    counts; one it refuses is not tried, and the answer is no.  Otherwise
+    phase 1 of ``solve_lp``, on its default bounds ``pi >= 0``, looks for
+    ``pi``.  Its point, clipped at 0 (a basic value can sit at -1e-18), is
+    taken only when every residual, recomputed by direct summation, is
+    within ``MEMBERSHIP_TOL``.  The martingale rows sum to the gap's first
+    moment, so ``dominates`` tries only a gap whose moment vanishes.
     """
     src, snk = np.flatnonzero(gap < 0), np.flatnonzero(gap > 0)
+    if not (src.size and snk.size):
+        # nothing to couple: each excess is its own residual
+        return bool((np.abs(gap) <= MEMBERSHIP_TOL).all())
     n_src, n_snk, k = src.size, snk.size, grid.ndim
-    pi = np.zeros((n_src, n_snk))
     n_rows = n_src + n_snk + n_src * k
-    # the tableau has more than rows x variables entries: a program past
-    # the guard by that count alone is refused before a bound per variable
-    # is spelled out
-    if n_rows * pi.size > TABLEAU_ENTRY_GUARD:
+    try:
+        tableau_shape(0, n_rows, n_src * n_snk)
+    except ValueError:
         return False
     step = grid.nodes[snk] - grid.nodes[src][:, None]  # (source, sink, axis)
-    if pi.size:
-        bounds = [(0.0, None)] * pi.size
-        try:
-            tableau_shape(0, n_rows, bounds)
-        except ValueError:
-            return False
-        # pi_ab is column a * n_snk + b; rows: source sums, sink sums, then
-        # each source's martingale rows, one per axis
-        col = np.arange(pi.size)
-        a_eq = np.zeros((n_rows, pi.size))
-        a_eq[col // n_snk, col] = 1.0
-        a_eq[n_src + col % n_snk, col] = 1.0
-        martingale = n_src + n_snk + (col // n_snk)[:, None] * k + np.arange(k)
-        a_eq[martingale, col[:, None]] = step.reshape(-1, k)
-        b_eq = np.concatenate([-gap[src], gap[snk], np.zeros(n_src * k)])
-        res = solve_lp(np.zeros(pi.size), a_eq=a_eq, b_eq=b_eq, bounds=bounds)
-        if not res.ok:
-            return False
-        pi = np.maximum(res.x, 0.0).reshape(pi.shape)
+    # pi_ab is column a * n_snk + b; rows: source sums, sink sums, then
+    # each source's martingale rows, one per axis
+    col = np.arange(n_src * n_snk)
+    a_eq = np.zeros((n_rows, col.size))
+    a_eq[col // n_snk, col] = 1.0
+    a_eq[n_src + col % n_snk, col] = 1.0
+    martingale = n_src + n_snk + (col // n_snk)[:, None] * k + np.arange(k)
+    a_eq[martingale, col[:, None]] = step.reshape(-1, k)
+    b_eq = np.concatenate([-gap[src], gap[snk], np.zeros(n_src * k)])
+    res = solve_lp(np.zeros(col.size), a_eq=a_eq, b_eq=b_eq)
+    if not res.ok:
+        return False
+    pi = np.maximum(res.x, 0.0).reshape(n_src, n_snk)
     residual = np.concatenate(
         [
             pi.sum(axis=1) + gap[src],
@@ -195,14 +189,14 @@ def _cone_lp(
     Every class builds this LP the same way from its ``ConeMatrix``; the
     variables past the values (convex subgradients) are free and follow
     them in ``x``.  ``simplex.tableau_shape`` sizes the tableau from
-    ``cone_size`` before the cone is built, and one past the solver's
-    ``TABLEAU_ENTRY_GUARD`` raises ``ValueError`` there.
+    ``cone_size``'s counts before any bound is listed or the cone is
+    built, and one past the solver's cap raises ``ValueError`` there.
     """
     n = grid.size
     n_rows, _, n_vars = cone_size(grid.shape, function_class)
-    bounds = [(0.0, 1.0)] * n + [(None, None)] * (n_vars - n)
     # b_ub = 0 and every offset is 0, so no row is flipped
-    tableau_shape(n_rows, 0, bounds)
+    tableau_shape(n_rows, 0, n_vars, n_free=n_vars - n, n_box=n)
+    bounds = [(0.0, 1.0)] * n + [(None, None)] * (n_vars - n)
 
     cone = local_rows(grid, function_class)
     a_ub = np.zeros((len(cone), n_vars))

@@ -21,14 +21,13 @@ then y-; finite ranges become extra rows; slack columns follow, then
 trailing artificials.  A solve stops after the fixed cap of
 ``2000 + 50 * (rows + columns)`` pivots.
 
-The tableau is dense: ``tableau_shape`` gives its rows and columns,
-``solve_lp`` allocates exactly that, and one of more than
-``TABLEAU_ENTRY_GUARD`` entries raises ``ValueError`` before it is
-allocated.  Callers with large inputs ask ``tableau_shape`` first.
+The tableau is dense: ``tableau_shape`` gives its rows and columns from
+the program's counts and ``solve_lp`` allocates exactly that.  Every block
+the cap ``TABLEAU_ENTRY_GUARD`` bounds is sized from counts and passed to
+``check_entries``, which raises ``ValueError``, before it is allocated.
 """
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass
 from typing import Sequence
@@ -74,34 +73,33 @@ class LpResult:
         return self.status == "optimal"
 
 
+def check_entries(what: str, rows: int, cols: int) -> None:
+    """Raise ``ValueError`` when a block of ``rows`` x ``cols`` entries,
+    counted before it is allocated, would pass ``TABLEAU_ENTRY_GUARD``."""
+    if rows * cols > TABLEAU_ENTRY_GUARD:
+        raise ValueError(
+            f"{what} would be {rows} x {cols} = {rows * cols} entries "
+            f"(guard {TABLEAU_ENTRY_GUARD}); reduce the grid"
+        )
+
+
 def tableau_shape(
-    n_ub: int,
-    n_eq: int,
-    bounds: Sequence[tuple[float | None, float | None]],
-    flipped: int = 0,
+    n_ub: int, n_eq: int, n_vars: int, n_free: int = 0, n_box: int = 0, flipped: int = 0
 ) -> tuple[int, int]:
     """Rows and columns of the tableau ``solve_lp`` allocates for ``n_ub``
-    inequality rows, ``n_eq`` equality rows and these per-variable bounds.
+    inequality rows, ``n_eq`` equality rows and ``n_vars`` variables, of
+    which ``n_free`` are free and ``n_box`` have a finite range.
 
     Rows: the constraints, then one per finite range.  Columns: one per
     variable and a second per free one, a slack per inequality and range
     row, an artificial per equality row and per flipped row (the
     ``flipped`` inequality rows whose right-hand side, shifted by the
-    variable offsets, is negative), then the right-hand side.  Raises
-    ``ValueError`` when rows x columns exceeds ``TABLEAU_ENTRY_GUARD``.
+    variable offsets, is negative), then the right-hand side.
+    ``check_entries`` refuses rows x columns past the cap.
     """
-    finite = [
-        (lo is not None and lo > -math.inf, hi is not None and hi < math.inf)
-        for lo, hi in bounds
-    ]
-    n_box, n_free = finite.count((True, True)), finite.count((False, False))
     rows = n_ub + n_eq + n_box
-    cols = len(bounds) + n_free + n_ub + n_box + n_eq + flipped + 1
-    if rows * cols > TABLEAU_ENTRY_GUARD:
-        raise ValueError(
-            f"LP tableau would be {rows} x {cols} = {rows * cols} entries "
-            f"(guard {TABLEAU_ENTRY_GUARD}); reduce the grid"
-        )
+    cols = n_vars + n_free + n_ub + n_box + n_eq + flipped + 1
+    check_entries("LP tableau", rows, cols)
     return rows, cols
 
 
@@ -162,7 +160,7 @@ def solve_lp(
     m_a = n_ub + a_eq.shape[0]
     b = np.concatenate([b_ub - a_ub @ offset, b_eq - a_eq @ offset, (hi - lo)[box]])
     flip = b < 0
-    m, width = tableau_shape(n_ub, a_eq.shape[0], bounds, int(flip[:n_ub].sum()))
+    m, width = tableau_shape(n_ub, m_a - n_ub, n, int(free.sum()), box.size, int(flip[:n_ub].sum()))
     eq = (np.arange(m) >= n_ub) & (np.arange(m) < m_a)
     slack_rows = (~eq).nonzero()[0]
     n_cols = ny + slack_rows.size  # structural and slack columns

@@ -29,6 +29,7 @@ from .utility import (
     TabulatedUtility,
     Witness,
     affine_transform,
+    check_cone,
     clamp_below,
     is_member,
     random_member,
@@ -244,9 +245,11 @@ def generate_case(
 
     G is a Dirichlet-random pmf, F applies the theorem's constructive
     transfer, and the utility is a verified random member of the theorem's
-    class; beta and gamma are drawn from moderate ranges.
+    class; beta and gamma are drawn from moderate ranges.  A shape whose
+    class cone ``check_cone`` refuses raises before the grid is drawn.
     """
     function_class = _theorem_class(theorem_id)
+    check_cone(grid_shape, function_class)
     rng = derive_rng(seed, case_index)
     grid = _random_grid(rng, grid_shape)
     g = make_pmf(grid, rng.dirichlet(np.ones(grid.size)))

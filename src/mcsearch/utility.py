@@ -41,7 +41,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .grids import Grid
-from .simplex import TABLEAU_ENTRY_GUARD, solve_lp
+from .simplex import check_entries, solve_lp
 
 #: The one absolute tolerance of membership and dominance, so both premises
 #: of a theorem are decided alike; no call sets its own.
@@ -280,17 +280,26 @@ def _cone_index(shape: tuple[int, ...], function_class: FunctionClass) -> tuple[
 @functools.lru_cache(maxsize=64)
 def cone_size(shape: tuple[int, ...], function_class: FunctionClass) -> tuple[int, int, int]:
     """``(rows, width, variables)`` of the class cone on a grid of this
-    shape, counted without building any rows: ``len(local_rows(grid,
-    function_class))``, its index width and the length of the ``v`` its
-    rows read."""
+    shape, counted exactly in Python integers without building any rows:
+    ``len(local_rows(grid, function_class))``, its index width and the
+    length of the ``v`` its rows read."""
+    shape = tuple(map(int, shape))
     n, ndim = math.prod(shape), len(shape)
     if function_class is FunctionClass.CONVEX:
         # every ordered pair of nodes, over the values and one subgradient each
         return n * (n - 1), 2 + ndim, n + n * ndim
     stencils = [_stencils(family, ndim) for family in _FAMILIES[function_class]]
     # a stencil fits at (extent - reach)+ positions along each axis
-    rows = sum(np.clip(np.array(shape) - s.max(axis=1), 0, None).prod(axis=1).sum() for s in stencils)
-    return int(rows), max(s.shape[1] for s in stencils), n
+    reaches = np.vstack([s.max(axis=1) for s in stencils]).tolist()
+    rows = sum(math.prod(max(e - r, 0) for e, r in zip(shape, reach)) for reach in reaches)
+    return rows, max(s.shape[1] for s in stencils), n
+
+
+def check_cone(shape: tuple[int, ...], function_class: FunctionClass) -> None:
+    """``simplex.check_entries`` on the class cone's index block (rows x
+    width) on this shape, from ``cone_size``'s counts alone."""
+    rows, width, _ = cone_size(shape, function_class)
+    check_entries(f"{function_class.value} cone", rows, width)
 
 
 def local_rows(grid: Grid, function_class: FunctionClass) -> ConeMatrix:
@@ -299,16 +308,11 @@ def local_rows(grid: Grid, function_class: FunctionClass) -> ConeMatrix:
     ``idx`` is the index block that every grid of this shape shares, built
     once; each call computes only the coefficients that depend on the
     coordinates: ``1/h1, -(1/h1 + 1/h2), 1/h2`` for componentwise-convex
-    rows and ``1, -1, -(x_j - x_i)`` for convex rows.  A block of more than
-    ``simplex.TABLEAU_ENTRY_GUARD`` entries (rows x width) raises
-    ``ValueError`` before any of it is built.
+    rows and ``1, -1, -(x_j - x_i)`` for convex rows.  ``check_cone``
+    refuses a block past ``simplex.TABLEAU_ENTRY_GUARD`` entries (rows x
+    width) with ``ValueError`` before any of it is built.
     """
-    n_rows, width, _ = cone_size(grid.shape, function_class)
-    if n_rows * width > TABLEAU_ENTRY_GUARD:
-        raise ValueError(
-            f"{function_class.value} cone would be {n_rows} x {width} = {n_rows * width} "
-            f"entries (guard {TABLEAU_ENTRY_GUARD}); reduce the grid"
-        )
+    check_cone(grid.shape, function_class)
     idx, families = _cone_index(grid.shape, function_class)
     coeff = np.zeros(idx.shape)
     nodes = grid.nodes

@@ -262,6 +262,18 @@ class TestSubcommands:
         assert run_command(["verify", path]) == 2
         assert "upward shifts need an axis with at least 2 nodes" in capsys.readouterr().err
 
+    def test_suite_past_the_cone_guard_exits_2(self, tmp_path, capsys):
+        # numpy once ran out of memory drawing this grid and exited 1
+        path = write_json(
+            tmp_path / "suite.json",
+            {
+                "schema_version": 1,
+                "options": {"theorem": "T2a", "cases": 3, "grid_shape": [100000, 100000, 100000]},
+            },
+        )
+        assert run_command(["verify", path]) == 2
+        assert "increasing cone would be 2999970000000000 x 2" in capsys.readouterr().err
+
     def test_dominance_lp_past_the_tableau_guard_exits_2(self, tmp_path, capsys):
         # g moves node 0's mass to node 1: the means differ, so the pair
         # goes to the cone LP and its guard
@@ -478,6 +490,17 @@ class TestSubcommands:
         )
         assert proc.returncode == 0
         assert _summary_value(proc.stdout, "reservation_utility") == pytest.approx(1.0, abs=1e-9)
+
+    def test_bare_import_loads_no_cli(self):
+        # the library import stays lean: the CLI, its reports and argparse
+        # load only with ``mcsearch.cli``
+        code = (
+            "import sys, mcsearch; "
+            "print(sorted({'mcsearch.cli', 'mcsearch.report', 'argparse'} & set(sys.modules)))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestReportDeterminism:

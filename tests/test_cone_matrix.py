@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import mcsearch.dominance as dominance_module
 from mcsearch import FunctionClass, dominates, is_member, make_grid, make_pmf, random_member, tabulate
-from mcsearch.utility import _FAMILIES, MEMBERSHIP_TOL, cone_size, local_rows
+from mcsearch.utility import _FAMILIES, MEMBERSHIP_TOL, check_cone, cone_size, local_rows
 from cone_oracle import (
     ROW_BUILDERS,
     builds_cone_lp,
@@ -152,6 +152,17 @@ class TestConeMatrix:
         f, g = _random_pmfs(grid, seed)
         got = _captured_program(f, g, FunctionClass.CONVEX)
         _assert_same_program(got, oracle_convex_program(grid, f.mass_array - g.mass_array))
+
+    def test_row_counts_are_exact_past_int64(self):
+        """Counted in Python integers: the int64 products once returned
+        -6,819,584,014,656,913,408 rows at (10**7,)*3 and 7.2e18, not
+        8.1e19, at (3*10**6,)*3."""
+        fc = FunctionClass.INCREASING
+        assert cone_size((10**7,) * 3, fc) == (3 * (10**7 - 1) * 10**14, 2, 10**21)
+        assert cone_size((3 * 10**6,) * 3, fc) == (3 * (3 * 10**6 - 1) * 9 * 10**12, 2, 27 * 10**18)
+        assert cone_size((np.int64(10**7),) * 3, fc) == cone_size((10**7,) * 3, fc)
+        with pytest.raises(ValueError, match=r"increasing cone would be 2999999700000000000000 x 2"):
+            check_cone((10**7,) * 3, fc)
 
     @PROPERTY
     @given(grid=grids(st.sampled_from([(1,), (4,), (2, 3), (3, 3), (2, 2, 2)])))

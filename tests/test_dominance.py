@@ -27,7 +27,7 @@ from mcsearch import (
 )
 from mcsearch.simplex import LpResult
 from mcsearch.statics import generate_case, verify_theorem
-from mcsearch.utility import MEMBERSHIP_TOL, MembershipResult
+from mcsearch.utility import MEMBERSHIP_TOL, ConeMatrix, MembershipResult
 from cone_oracle import (
     CLOSED_FORM_CLASSES,
     builds_cone_lp,
@@ -172,16 +172,18 @@ class TestVerdicts:
 
     def test_coupling_past_the_guard_is_not_tried(self, monkeypatch):
         # a mean-matched 40x40 pair has about 800 sources and 800 sinks: a
-        # coupling of some 640,000 variables, refused by its size before a
-        # bound per variable is spelled out; the cone LP's guard then speaks
+        # coupling of some 640,000 variables, refused by its counts before
+        # any array of its size is built; the cone LP's guard then speaks
         axis = [float(x) for x in range(40)]
         f, g = _mean_matched_pair(np.random.default_rng(0), make_grid([axis, axis]))
+        gap = f.mass_array - g.mass_array
+        n_src, n_snk = int((gap < 0).sum()), int((gap > 0).sum())
         shapes = []
         predict = dominance_module.tableau_shape
 
-        def recording_predict(n_ub, n_eq, bounds, *args):
-            shapes.append((n_ub, n_eq, len(bounds)))
-            return predict(n_ub, n_eq, bounds, *args)
+        def recording_predict(*args, **kwargs):
+            shapes.append((args, kwargs))
+            return predict(*args, **kwargs)
 
         def build(*args, **kwargs):
             raise AssertionError("LP built past the guard")
@@ -193,7 +195,10 @@ class TestVerdicts:
         with pytest.raises(ValueError, match=r"LP tableau would be 2560000 x 2568001 = \d+ entries \(guard"):
             dominates(f, g, FC.CONVEX)
         assert time.perf_counter() - start < 2.0
-        assert shapes == [(1600 * 1599, 0, 1600 * 3)]
+        assert shapes == [
+            ((0, n_src + n_snk + 2 * n_src, n_src * n_snk), {}),
+            ((1600 * 1599, 0, 1600 * 3), {"n_free": 1600 * 2, "n_box": 1600}),
+        ]
 
     def test_tableau_guard_counts_the_tableau_not_the_constraints(self, monkeypatch):
         # 6,162 x 158 constraint entries, but a 6,241 x 6,479 tableau (308 MiB)
@@ -214,8 +219,8 @@ class TestVerdicts:
         predicted, allocated = [], []
         predict, pivot = dominance_module.tableau_shape, simplex_module._pivot
 
-        def recording_predict(*args):
-            predicted.append(predict(*args))
+        def recording_predict(*args, **kwargs):
+            predicted.append(predict(*args, **kwargs))
             return predicted[-1]
 
         def recording_pivot(T, *args):
@@ -370,8 +375,8 @@ class TestCoupling:
         solve = dominance_module.solve_lp
         solved = []
 
-        def dropped(c, a_eq, b_eq, bounds):
-            lp = solve(c, a_eq=a_eq[:-1], b_eq=b_eq[:-1], bounds=bounds)
+        def dropped(c, a_eq, b_eq):
+            lp = solve(c, a_eq=a_eq[:-1], b_eq=b_eq[:-1])
             solved.append(lp.status)
             return lp
 
@@ -409,7 +414,9 @@ class TestInconclusive:
         )
 
     def test_witness_failing_class_reverification(self, pair, monkeypatch):
+        # the LP's point must fail on its own cone for is_member to decide
         rejected = MembershipResult(False, FC.INCREASING_ULTRAMODULAR, None)
+        monkeypatch.setattr(ConeMatrix, "margins", lambda self, values: -np.ones(len(self)))
         monkeypatch.setattr(dominance_module, "is_member", lambda u, fc: rejected)
         res = dominates(*pair, FC.INCREASING_ULTRAMODULAR)
         assert res.verdict == "inconclusive" and res.witness is None

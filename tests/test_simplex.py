@@ -304,17 +304,17 @@ class TestValidation:
 
 class TestTableauShape:
     def test_boxed_program_without_rows(self):
-        assert tableau_shape(0, 0, [(0.0, 1.0)] * 4095) == (4095, 8191)
+        assert tableau_shape(0, 0, 4095, n_box=4095) == (4095, 8191)
         with pytest.raises(ValueError, match="4096 x 8193"):
-            tableau_shape(0, 0, [(0.0, 1.0)] * 4096)
+            tableau_shape(0, 0, 4096, n_box=4096)
 
     def test_convex_dominance_lps_at_the_edge(self):
         # the 4x4x4 convex LP: 64 values in [0, 1], 192 free subgradients
-        assert tableau_shape(64 * 63, 0, [(0.0, 1.0)] * 64 + [(None, None)] * 192) == (4096, 4545)
+        assert tableau_shape(64 * 63, 0, 64 + 192, n_free=192, n_box=64) == (4096, 4545)
         # 1-D convex: 75 nodes fit, 76 do not
-        assert tableau_shape(75 * 74, 0, [(0.0, 1.0)] * 75 + [(None, None)] * 75) == (5625, 5851)
+        assert tableau_shape(75 * 74, 0, 75 + 75, n_free=75, n_box=75) == (5625, 5851)
         with pytest.raises(ValueError, match="5776 x 6005"):
-            tableau_shape(76 * 75, 0, [(0.0, 1.0)] * 76 + [(None, None)] * 76)
+            tableau_shape(76 * 75, 0, 76 + 76, n_free=76, n_box=76)
 
     def test_shape_of_a_program_with_every_column_kind(self, monkeypatch):
         # x0 >= 0, x1 free (two columns), x2 <= 3 (one column), x3 in
@@ -333,4 +333,4 @@ class TestTableauShape:
         monkeypatch.setattr(simplex_module, "_pivot", recording_pivot)
         res = solve_lp([1.0, 1.0, 0.0, 1.0], a_ub, b_ub, a_eq, b_eq, bounds)
         assert res.ok
-        assert shapes[0] == tableau_shape(2, 1, bounds, flipped=1) == (4, 5 + 3 + 2 + 1)
+        assert shapes[0] == tableau_shape(2, 1, 4, n_free=1, n_box=1, flipped=1) == (4, 5 + 3 + 2 + 1)

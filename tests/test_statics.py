@@ -1,4 +1,6 @@
+import hashlib
 import re
+import time
 from unittest import mock
 
 import numpy as np
@@ -26,10 +28,16 @@ from mcsearch import (
     truncation_counterexample,
     verify_theorem,
 )
+from mcsearch.cli import _suite_rows
+from mcsearch.report import fmt_value
 from mcsearch.simplex import LpResult
 from mcsearch.statics import NOT_CLOSED, THEOREM_CLASS
 
 ALL_THEOREMS = list(THEOREM_CLASS)
+
+#: SHA-256 of the rows ``mcsearch verify`` prints for the suites of
+#: ``TestSuites.test_suite_rows_are_pinned``, as first recorded.
+SUITE_ROWS_DIGEST = "b04500c5c90c11da09b7fac4eabdd5ec8544fadeaff7efadbee04056fe86939a"
 
 
 class TestVerifyTheorem:
@@ -162,6 +170,26 @@ class TestSuites:
         rep = verify_theorem(generate_case("T2b", index, seed, (3, 3)))
         assert rep.status == "pass", rep.reason
 
+    def test_suite_rows_are_pinned(self):
+        """The rows ``mcsearch verify`` prints, every value as the report
+        writes it (12 significant digits), for 30 cases at seeds 0-4 of T2b
+        on 3x3, 4x4 and 3x3x3 and of T2a, T2c, T3 and T4 on 3x3, 5x5 and
+        3x3x3, hash to the digest first recorded."""
+        suites = [("T2b", shape) for shape in ((3, 3), (4, 4), (3, 3, 3))] + [
+            (theorem, shape)
+            for theorem in ("T2a", "T2c", "T3", "T4")
+            for shape in ((3, 3), (5, 5), (3, 3, 3))
+        ]
+        digest = hashlib.sha256()
+        for theorem, shape in suites:
+            for seed in range(5):
+                digest.update(f"{theorem} {shape} {seed}\n".encode())
+                records = run_suite(SuiteConfig(theorem, 30, seed, grid_shape=shape)).records
+                for row in _suite_rows(records):
+                    line = "\t".join(f"{key}={fmt_value(value)}" for key, value in row.items())
+                    digest.update(f"{line}\n".encode())
+        assert digest.hexdigest() == SUITE_ROWS_DIGEST
+
     def test_empty_suite(self):
         report = run_suite(SuiteConfig("T2a", 0, seed=0))
         assert report.records == ()
@@ -235,6 +263,20 @@ class TestSuites:
                 SuiteConfig("T2a", 1, 0, grid_shape=shape)
         wide = SuiteConfig("T2a", 2, 0, grid_shape=(np.int64(3), 2))
         assert run_suite(wide).records == run_suite(SuiteConfig("T2a", 2, 0, grid_shape=(3, 2))).records
+
+    def test_suite_past_the_cone_guard_is_refused_before_its_grid(self, monkeypatch):
+        """A 3000x3000 increasing cone (36 M entries) is past the guard, so
+        no case could run: the grid and its 9 M-node pmf are never drawn."""
+
+        def draw(*args):
+            raise AssertionError("grid drawn for a refused cone")
+
+        monkeypatch.setattr(statics_module, "_random_grid", draw)
+        for theorem, shape in [("T2a", (3000, 3000)), ("T3", (100000,) * 3), ("T2b", (100, 100))]:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=r"cone would be \d+ x \d+ = \d+ entries \(guard"):
+                generate_case(theorem, 0, 0, shape)
+            assert time.perf_counter() - start < 1.0
 
     def test_fractional_seed_or_case_index_is_refused(self):
         """``generate_case`` once truncated both: seed 1.7 gave seed 1's
