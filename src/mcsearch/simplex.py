@@ -1,4 +1,4 @@
-"""Small dense linear-program solver.
+"""Small linear-program solver on a full, column-major tableau.
 
 Two-phase primal simplex on the full tableau.  Each pivot is priced by
 Dantzig's rule: the most negative reduced cost enters, the lowest column
@@ -11,9 +11,9 @@ first negative reduced cost), which cannot cycle, until the next pivot that
 strictly lowers the objective; that pivot clears the record and Dantzig
 pricing resumes.  A pivot that lowers the objective cannot lie on a cycle,
 so the solve terminates; a digest collision only starts Bland's rule early.
-Meant for the modest cone programs this package generates; it trades speed
-for determinism and transparent failure modes.  Programs it cannot certify
-come back with a non-``optimal`` status instead of a guess.
+Meant for the modest cone programs this package generates; it puts
+determinism and transparent failure modes first.  Programs it cannot
+certify come back with a non-``optimal`` status instead of a guess.
 
 The standard form comes from one variable map: a variable is shifted by its
 lower bound, reflected about an upper-only bound, or if free split into y+
@@ -21,10 +21,26 @@ then y-; finite ranges become extra rows; slack columns follow, then
 trailing artificials.  A solve stops after the fixed cap of
 ``2000 + 50 * (rows + columns)`` pivots.
 
-The tableau is dense: ``tableau_shape`` gives its rows and columns from
-the program's counts and ``solve_lp`` allocates exactly that.  Every block
-the cap ``TABLEAU_ENTRY_GUARD`` bounds is sized from counts and passed to
+The tableau stores every entry: ``tableau_shape`` gives its rows and
+columns from the program's counts and ``solve_lp`` allocates exactly that,
+once; a row phase 1 drops is removed in place.  Every block the cap
+``TABLEAU_ENTRY_GUARD`` bounds is sized from counts and passed to
 ``check_entries``, which raises ``ValueError``, before it is allocated.
+
+The tableau is column-major, so each of its columns is one contiguous row
+of ``T.T``.  A pivot scales the pivot row, then updates only the columns
+where that row is nonzero, a rank-one update on the row's support.  The
+pivot row of a cone LP is sparse: on average it covers 12% of the 127
+columns of the 3x3 convex cone LP and 9.5% of the 337 of the 4x4 one,
+though long runs of pivots fill rows in.  On a skipped column the full
+update would subtract a zero, which leaves every value as it is and can
+change only a zero's sign.  No pivot choice or ratio reads that sign, and
+``x`` does not either: each basic value is added to an offset of +0.0 or
+a nonzero bound (a bound of -0.0 is read as +0.0).  So a solve takes the
+pivots, and returns the bits, of the full update.  The ratio test reuses
+buffers allocated once per solve.  Float drift in the right-hand side is
+clamped after each pivot that moved it, and after each phase's first
+pivot, which also clamps what phase 1's drive-out pivots left.
 """
 from __future__ import annotations
 
@@ -41,7 +57,7 @@ OPT_TOL = 1e-9
 PIVOT_TOL = 1e-9
 #: Feasibility slack accepted in the final solution check.
 FEAS_TOL = 1e-7
-#: Cap on the entries of the dense tableau: 2**25 float64s, 256 MiB.
+#: Cap on the entries of the tableau: 2**25 float64s, 256 MiB.
 TABLEAU_ENTRY_GUARD = 2**25
 
 
@@ -134,14 +150,16 @@ def solve_lp(
     if a_ub.shape[0] != b_ub.size or a_eq.shape[0] != b_eq.size:
         raise ValueError("constraint matrix / rhs length mismatch")
     if bounds is None:
-        bounds = [(0.0, None)] * n
-    if len(bounds) != n:
+        lo, hi = np.zeros(n), np.full(n, np.inf)
+    elif len(bounds) != n:
         raise ValueError("need one bounds pair per variable")
-    lo = np.array([-np.inf if v is None else v for v, _ in bounds], dtype=float)
-    hi = np.array([np.inf if v is None else v for _, v in bounds], dtype=float)
-    if np.any(hi < lo):
-        j = int((hi < lo).argmax())
-        raise ValueError(f"bounds for variable {j} are empty: ({lo[j]}, {hi[j]})")
+    else:
+        lo = np.array([-np.inf if v is None else v for v, _ in bounds], dtype=float)
+        hi = np.array([np.inf if v is None else v for _, v in bounds], dtype=float)
+        empty = hi < lo
+        if empty.any():
+            j = int(empty.argmax())
+            raise ValueError(f"bounds for variable {j} are empty: ({lo[j]}, {hi[j]})")
 
     # --- variable map: x = offset, then x[var[q]] += sign[q] * y[q] ---------
     has_lo, has_hi = lo > -np.inf, hi < np.inf
@@ -150,48 +168,64 @@ def solve_lp(
     sign = np.where(has_lo[var], 1.0, -1.0)
     first = np.cumsum(1 + free) - 1 - free  # each variable's first column
     sign[first[free]] = 1.0
-    offset = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+    # + 0.0 reads a bound of -0.0 as +0.0, so no zero in x carries a sign
+    offset = np.where(has_lo, lo, np.where(has_hi, hi, 0.0)) + 0.0
     box = (has_lo & has_hi).nonzero()[0]
     ny = var.size
 
     # --- tableau: rows flipped so b >= 0; a row whose slack survived the
     # flip with +1 starts with it basic, the others with an artificial ------
-    n_ub = a_ub.shape[0]
-    m_a = n_ub + a_eq.shape[0]
+    n_ub, n_eq = a_ub.shape[0], a_eq.shape[0]
+    m_a = n_ub + n_eq
     b = np.concatenate([b_ub - a_ub @ offset, b_eq - a_eq @ offset, (hi - lo)[box]])
     flip = b < 0
-    m, width = tableau_shape(n_ub, m_a - n_ub, n, int(free.sum()), box.size, int(flip[:n_ub].sum()))
-    eq = (np.arange(m) >= n_ub) & (np.arange(m) < m_a)
-    slack_rows = (~eq).nonzero()[0]
+    m, width = tableau_shape(n_ub, n_eq, n, np.count_nonzero(free), box.size, np.count_nonzero(flip[:n_ub]))
+    slack_rows = np.arange(m - n_eq)  # every row but the equalities
+    slack_rows[n_ub:] += n_eq
+    slack_cols = ny + np.arange(slack_rows.size)
     n_cols = ny + slack_rows.size  # structural and slack columns
-    art_rows = (eq | flip).nonzero()[0]
+    art = flip.copy()
+    art[n_ub:m_a] = True
+    art_rows = art.nonzero()[0]
+    art_cols = n_cols + np.arange(art_rows.size)
     total_cols = width - 1
-    T = np.zeros((m, width))
+    # column-major: each tableau column is contiguous, a row of T.T
+    T = np.zeros((m, width), order="F")
     T[:m_a, :ny] = np.vstack([a_ub, a_eq])[:, var] * sign
     T[m_a + np.arange(box.size), first[box]] = 1.0
-    T[slack_rows, ny + np.arange(slack_rows.size)] = 1.0
+    T[slack_rows, slack_cols] = 1.0
     T[flip, :n_cols] *= -1.0
     T[:, -1] = np.where(flip, -b, b)
-    T[art_rows, n_cols + np.arange(art_rows.size)] = 1.0
+    T[art_rows, art_cols] = 1.0
     basis = np.empty(m, dtype=int)
-    basis[slack_rows] = ny + np.arange(slack_rows.size)
-    basis[art_rows] = n_cols + np.arange(art_rows.size)
+    basis[slack_rows] = slack_cols
+    basis[art_rows] = art_cols
     pivot_limit = 2000 + 50 * (m + total_cols)
+    # ratio-test workspaces, one per solve; a dropped row shortens them
+    pos_buf, blocks_buf, ratios_buf = np.empty(m), np.empty(m, dtype=bool), np.empty(m)
 
     counts = dict(phase1_pivots=0, phase2_pivots=0, degenerate_pivots=0, bland_pivots=0)
 
     def run(cost: np.ndarray, n_enter: int, iters_left: int, phase: str) -> str:
-        # Maintain the reduced-cost row explicitly.  Only the first n_enter
+        # Maintain the reduced-cost row explicitly, one entry per tableau
+        # column (the last one is never priced).  Only the first n_enter
         # columns may enter (phase 2 blocks the trailing artificials).
         # Dantzig pricing until a run of degenerate pivots brings back a
         # basis it has already visited, then Bland's rule until the next
         # pivot that moves the objective.  Each pivot is counted under
         # ``phase`` in ``counts``.
         z = cost.copy()
-        for i in range(m):
-            if cost[basis[i]] != 0.0:
-                z -= cost[basis[i]] * T[i, :-1]
+        basic_cost = cost[basis]
+        for i in basic_cost.nonzero()[0]:
+            z -= basic_cost[i] * T[i]
         priced = z[:n_enter]
+        Tt = T.T  # row j is tableau column j, contiguous
+        rhs = Tt[-1]
+        # pos is rhs clamped at 0, so a basic value at -1e-15 acts as 0,
+        # never as a negative ratio
+        pos, blocks, ratios = pos_buf[:m], blocks_buf[:m], ratios_buf[:m]
+        np.maximum(rhs, 0.0, out=pos)
+        drift = True  # the pivots that drove out phase 1's artificials clamped nothing
         bland = False
         seen: set[int] = set()  # crc32 digests of the bases of this degenerate run
         for _ in range(iters_left):
@@ -206,11 +240,11 @@ def solve_lp(
                     return "optimal"
             if not m:
                 return "unbounded"  # no row is left to block the entering column
-            col = T[:, enter]
-            # clamp float drift: a basic value can sit at -1e-15 and must act
-            # as 0, never as a negative ratio; rows that cannot block stay inf
-            ratios = np.full(m, np.inf)
-            np.divide(np.maximum(T[:, -1], 0.0), col, out=ratios, where=col > PIVOT_TOL)
+            col = Tt[enter]
+            # rows that cannot block stay inf
+            np.greater(col, PIVOT_TOL, out=blocks)
+            ratios.fill(np.inf)
+            np.divide(pos, col, out=ratios, where=blocks)
             leave = int(ratios.argmin())
             best = ratios[leave]
             if best == np.inf:
@@ -218,10 +252,16 @@ def solve_lp(
             tied = (ratios <= best + 1e-12).nonzero()[0]
             if tied.size > 1:
                 leave = int(tied[basis[tied].argmin()])
+            # rhs moves off the pivot row only if the pivot row's entry is
+            # nonzero; otherwise that entry alone becomes a signed 0
+            moved = rhs[leave] != 0.0
             _pivot(T, z, leave, enter)
             basis[leave] = enter
-            rhs = T[:, -1]
-            rhs[(rhs < 0.0) & (rhs > -1e-9)] = 0.0
+            if moved or drift:  # clamp float drift
+                rhs[(rhs < 0.0) & (rhs > -1e-9)] = 0.0
+                drift = False
+            if moved:
+                np.maximum(rhs, 0.0, out=pos)
             counts[phase] += 1
             counts["bland_pivots"] += bland
             if best == 0.0:
@@ -240,8 +280,8 @@ def solve_lp(
 
     # --- phase 1: the artificials are the trailing columns ------------------
     if art_rows.size:
-        cost1 = np.zeros(total_cols)
-        cost1[n_cols:] = 1.0
+        cost1 = np.zeros(width)
+        cost1[n_cols:-1] = 1.0
         status = run(cost1, total_cols, pivot_limit, "phase1_pivots")
         if status != "optimal":
             return result(status)
@@ -254,17 +294,22 @@ def solve_lp(
         for i in art_rows:
             piv = (np.abs(T[i, :n_cols]) > PIVOT_TOL).nonzero()[0]
             if piv.size:
-                _pivot(T, np.zeros(total_cols), i, piv[0])
+                _pivot(T, np.zeros(width), i, piv[0])
                 basis[i] = piv[0]
             else:
                 drop_rows.append(i)
         if drop_rows:
-            T = np.delete(T, drop_rows, axis=0)
-            basis = np.delete(basis, drop_rows)
+            # move the kept rows up in place; a row is read before any
+            # later row is written over it
+            kept = np.delete(np.arange(m), drop_rows)
+            for dst in range(drop_rows[0], kept.size):
+                T[dst] = T[kept[dst]]
+            T = T[: kept.size]
+            basis = basis[kept]
             m = basis.size
 
     # --- phase 2 -------------------------------------------------------------
-    cost2 = np.zeros(total_cols)
+    cost2 = np.zeros(width)
     cost2[:ny] = sign * c[var]
     status = run(cost2, n_cols, pivot_limit - counts["phase1_pivots"], "phase2_pivots")
     if status != "optimal":
@@ -278,19 +323,27 @@ def solve_lp(
     # certify the answer: a tableau that silently lost feasibility must not
     # masquerade as optimal
     if (
-        np.any(a_ub @ x - b_ub > FEAS_TOL)
-        or np.any(np.abs(a_eq @ x - b_eq) > FEAS_TOL)
-        or np.any((x < lo - FEAS_TOL) | (x > hi + FEAS_TOL))
+        (a_ub @ x - b_ub > FEAS_TOL).any()
+        or (np.abs(a_eq @ x - b_eq) > FEAS_TOL).any()
+        or ((x < lo - FEAS_TOL) | (x > hi + FEAS_TOL)).any()
     ):
         return result("numerical")
     return result("optimal", x, float(c @ x))
 
 
 def _pivot(T: np.ndarray, z: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    factor = T[:, col].copy()
+    """Pivot on ``T[row, col]``: scale the row, then eliminate the column
+    from every other row and from ``z``.  Only the columns where the scaled
+    row is nonzero change; elsewhere the dense update would subtract a zero,
+    which can flip only a zero's sign."""
+    Tt = T.T
+    pr = Tt[:, row]
+    pr /= pr[col]
+    cols = pr.nonzero()[0]
+    prc = pr[cols]
+    factor = Tt[col].copy()
     factor[row] = 0.0
-    T -= np.outer(factor, T[row])
+    Tt[cols] -= np.multiply.outer(prc, factor)
     zf = z[col]
     if zf != 0.0:
-        z -= zf * T[row, :-1]
+        z[cols] -= zf * prc

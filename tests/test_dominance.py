@@ -1,3 +1,4 @@
+import hashlib
 import time
 from unittest import mock
 
@@ -102,6 +103,30 @@ class TestVerdicts:
                     assert is_member(res.witness, fc).member
                     assert expectation(f, res.witness) - expectation(g, res.witness) < -1e-9
         assert seen > 10
+
+    def test_t4_at_20x20_keeps_its_verdict_and_optimum(self, monkeypatch):
+        """The 20x20 increasing-ultramodular cone LP takes 379 pivots, all
+        degenerate.  Verdict, optimum and the LP's point, to the bit, are
+        the ones the dense tableau found before the simplex updated only
+        the pivot row's support."""
+        lps = []
+        solve = dominance_module.solve_lp
+
+        def recording(*args, **kwargs):
+            lps.append(solve(*args, **kwargs))
+            return lps[-1]
+
+        monkeypatch.setattr(dominance_module, "solve_lp", recording)
+        case = generate_case("T4", 0, 3, (20, 20))
+        res = dominates(case.f, case.g, case.function_class)
+        assert res.verdict == "dominates" and res.lp_optimum.hex() == "0x0.0p+0"
+        [lp] = lps
+        assert (lp.status, lp.phase1_pivots, lp.phase2_pivots, lp.degenerate_pivots, lp.bland_pivots) == (
+            "optimal", 0, 379, 379, 0
+        )
+        assert hashlib.sha256(lp.x.tobytes()).hexdigest() == (
+            "5a312281df4bd8dfbb4d4a94ad0bf44d01bb8cfced1206b90e21b4ca0568cdb1"
+        )
 
     def test_embeds_distinct_grids(self):
         f = make_pmf(make_grid([[0, 1]]), [0.2, 0.8])

@@ -1,15 +1,23 @@
+import dataclasses
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import lp_oracle
 from cone_oracle import oracle_convex_program
 from conftest import random_grid, random_pmf
+import mcsearch.dominance as dominance_module
 import mcsearch.simplex as simplex_module
+import mcsearch.utility as utility_module
 from mcsearch.grids import common_grid, derive_rng, make_grid, make_pmf
 from mcsearch.simplex import LpResult, solve_lp, tableau_shape
-from mcsearch.statics import generate_case
+from mcsearch.statics import _apply_transfer, generate_case
+from mcsearch.utility import FunctionClass
 
 #: Beale's example (1955): Dantzig pricing with lowest-index ties cycles
 #: through six degenerate bases and never reaches the optimum -1.25.
@@ -334,3 +342,178 @@ class TestTableauShape:
         res = solve_lp([1.0, 1.0, 0.0, 1.0], a_ub, b_ub, a_eq, b_eq, bounds)
         assert res.ok
         assert shapes[0] == tableau_shape(2, 1, 4, n_free=1, n_box=1, flipped=1) == (4, 5 + 3 + 2 + 1)
+
+
+def _bits(res: LpResult):
+    """Everything an ``LpResult`` carries, to the bit."""
+    x = None if res.x is None else res.x.tobytes()
+    fun = None if res.fun is None else res.fun.hex()
+    return res.status, x, fun, res.phase1_pivots, res.phase2_pivots, res.degenerate_pivots, res.bland_pivots
+
+
+def _same_as_dense(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
+    """``solve_lp``, after requiring the dense kernel's result bit for bit.
+
+    ``solve_lp`` reads a bound of -0.0 as +0.0, so that no zero in ``x``
+    carries a sign; where the program has one, the dense kernel's ``x``
+    (which may hold -0.0 there) is compared after ``+ 0.0``."""
+    program = (c, a_ub, b_ub, a_eq, b_eq, bounds)
+    mine, dense = solve_lp(*program), lp_oracle.solve_lp(*program)
+    ends = [v for pair in bounds or () for v in pair if v is not None]
+    signed_zero = any(v == 0.0 and math.copysign(1.0, v) < 0 for v in ends)
+    if signed_zero and dense.x is not None:
+        x = dense.x + 0.0
+        dense = dataclasses.replace(dense, x=x, fun=float(np.asarray(c, dtype=float) @ x))
+    assert _bits(mine) == _bits(dense)
+    return mine
+
+
+def _mixed_program(rng, integral):
+    """A program with a variable of every kind, shuffled: x >= lo, free,
+    x <= hi, lo <= x <= hi.  Inequality rows may be flipped onto an
+    artificial by a negative right-hand side; either block's right-hand
+    side is all zero, and so degenerate, one time in four.  Equality rows
+    may end with a multiple of the first, a redundant row that phase 1
+    drops.  Integral coefficients make exact zeros and ratio ties common."""
+    n = int(rng.integers(4, 8))
+
+    def draw(*shape):
+        if integral:
+            return rng.integers(-3, 4, size=shape).astype(float)
+        return rng.normal(size=shape)
+
+    bounds = []
+    for kind in rng.permutation(np.concatenate([np.arange(4), rng.integers(0, 4, n - 4)])):
+        lo, hi = -float(rng.integers(0, 3)), float(rng.integers(1, 4))
+        bounds.append([(lo, None), (None, None), (None, hi), (lo, hi)][kind])
+    m = int(rng.integers(1, 7))
+    a_ub, b_ub = draw(m, n), draw(m) + float(rng.integers(0, 2))
+    if rng.random() < 0.25:
+        b_ub[:] = 0.0
+    k = int(rng.integers(1, 4))
+    a_eq, b_eq = draw(k, n), draw(k)
+    if rng.random() < 0.25:
+        b_eq[:] = 0.0
+    if k > 1 and rng.random() < 0.5:
+        scale = float(rng.integers(-2, 3) or 1)
+        a_eq[-1], b_eq[-1] = scale * a_eq[0], scale * b_eq[0]
+    return draw(n), a_ub, b_ub, a_eq, b_eq, bounds
+
+
+def _spread_chain(pmf, rng, moves):
+    """``pmf`` after ``moves`` mean-preserving spreads, each dominating the
+    last on the convex class."""
+    for _ in range(moves):
+        pmf = _apply_transfer(FunctionClass.CONVEX, pmf, rng)
+    return pmf
+
+
+class TestSameBitsAsTheDenseKernel:
+    """The column-major kernel pivots only on the pivot row's support.  Its
+    ``LpResult`` must equal that of the dense kernel in ``lp_oracle``:
+    status, point, optimum and the four pivot counts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), integral=st.booleans())
+    @example(seed=23342, integral=False)
+    def test_mixed_programs(self, seed, integral):
+        """Seed 23342 drives out an artificial whose basic value is
+        4.2e-16.  That leaves -4.2e-16 on the right-hand side, which the
+        first phase-2 pivot, a degenerate one, must clamp."""
+        _same_as_dense(*_mixed_program(np.random.default_rng(seed), integral))
+
+    def test_mixed_programs_reach_every_path(self, monkeypatch):
+        """The draws above reach every status, drop redundant rows, drive
+        zero-valued artificials out and flip rows."""
+        shapes, statuses, driven, flipped = [], set(), 0, 0
+        pivot = simplex_module._pivot
+
+        def recording(T, z, row, col):
+            shapes.append(T.shape)
+            pivot(T, z, row, col)
+
+        monkeypatch.setattr(simplex_module, "_pivot", recording)
+        dropped = 0
+        for seed in range(300):
+            program = _mixed_program(np.random.default_rng(seed), seed % 2 == 0)
+            shapes.clear()
+            res = _same_as_dense(*program)
+            statuses.add(res.status)
+            dropped += len(set(shapes)) > 1
+            driven += res.status == "optimal" and len(shapes) > res.phase1_pivots + res.phase2_pivots
+            _, a_ub, b_ub, _, _, bounds = program
+            offset = [0.0 if lo is None and hi is None else hi if lo is None else lo for lo, hi in bounds]
+            flipped += bool((b_ub - a_ub @ offset < 0).any())
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+        assert dropped and driven and flipped
+
+    def test_beale_cycles_into_blands_rule(self):
+        res = _same_as_dense(**BEALE)
+        assert res.ok and res.bland_pivots > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_permuted_and_scaled_beale(self, seed):
+        """Beale's program with its rows and columns permuted, its rows
+        scaled by powers of 2 and up to two extra columns: some variants
+        still cycle under Dantzig pricing."""
+        rng = np.random.default_rng(seed)
+        cols, rows = rng.permutation(4), rng.permutation(3)
+        scale = 2.0 ** rng.integers(-2, 3, size=3)
+        extra = int(rng.integers(0, 3))
+        c = np.concatenate([np.array(BEALE["c"])[cols], rng.integers(1, 4, extra)])
+        a_ub = np.hstack(
+            [(np.array(BEALE["a_ub"])[:, cols] * scale[:, None])[rows], rng.integers(-2, 3, (3, extra))]
+        )
+        b_ub = (np.array(BEALE["b_ub"]) * scale)[rows]
+        _same_as_dense(c, a_ub, b_ub)
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        shape=st.sampled_from([(3, 3), (4, 4), (3, 3, 3)]),
+        fc=st.sampled_from(list(FunctionClass)),
+        generated=st.booleans(),
+        swap=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cone_lps(self, shape, fc, generated, swap, seed):
+        """The cone LP of every class, on a random pair or on a pair the
+        class's own move generates (either way round).  The convex cone LP
+        is drawn at 3x3 only: past it, generated and random pairs alike
+        can stall for thousands of degenerate pivots (at 3x3x3, 11 of 60
+        random pairs ended ``iteration_limit`` or ``numerical``, after up
+        to 20 s, and the dense kernel takes several times longer).  The
+        coupling test below covers the convex class at 4x4 and 3x3x3."""
+        if fc is FunctionClass.CONVEX:
+            shape = (3, 3)
+        rng = np.random.default_rng(seed)
+        grid = random_grid(rng, shape)
+        g = random_pmf(grid, rng)
+        f = _apply_transfer(fc, g, rng) if generated else random_pmf(grid, rng)
+        if swap:
+            f, g = g, f
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dominance_module, "solve_lp", _same_as_dense)
+            dominance_module._cone_lp(grid, f.mass_array - g.mass_array, fc)
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        shape=st.sampled_from([(3, 3), (4, 4), (3, 3, 3)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_coupling_and_membership_lps(self, shape, seed):
+        """The coupling LP of two spread chains from one base (feasible,
+        with a redundant marginal row, when G's chain is empty), then the
+        node LPs of convex membership on random normal values."""
+        rng = np.random.default_rng(seed)
+        grid = random_grid(rng, shape)
+        base = random_pmf(grid, rng)
+        f = _spread_chain(base, rng, int(rng.integers(1, 5)))
+        g = _spread_chain(base, rng, int(rng.integers(0, 3)))
+        gap = f.mass_array - g.mass_array
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dominance_module, "solve_lp", _same_as_dense)
+            patch.setattr(utility_module, "solve_lp", _same_as_dense)
+            dominance_module._martingale_coupling(grid, gap)
+            values = utility_module.tabulate(grid, rng.normal(size=grid.size))
+            utility_module.is_member(values, FunctionClass.CONVEX)

@@ -258,6 +258,21 @@ class TestConvexMembership:
                 want = oracle_convex_membership(u, utility_module.MEMBERSHIP_TOL)
                 assert is_member(u, FunctionClass.CONVEX) == want
 
+    def test_30x30_random_normal_non_member_keeps_its_witness(self):
+        """Three node LPs of 899 rows each decide this non-member.  The
+        witness node and its margin, to the bit, are the ones the dense
+        tableau found before the simplex updated only the pivot row's
+        support."""
+        grid = _random_grid(np.random.default_rng(0), (30, 30))
+        u = tabulate(grid, np.random.default_rng(0).standard_normal(grid.size))
+        res = is_member(u, FunctionClass.CONVEX)
+        assert not res.member and res.reason is None
+        assert res.witness.constraint == "subgradient"
+        assert [[v.hex() for v in node] for node in res.witness.nodes] == [
+            ["0x1.187f5e7ece140p-2", "0x1.b36eedca0f4dbp+0"]
+        ]
+        assert res.witness.margin.hex() == "-0x1.c62a44fc704b0p-1"
+
     def test_failed_lp_names_its_status(self):
         # max(1, 2 x1, 2 x2): no difference quotient or neighbour certifies
         # (0, 0), on the flat piece alone, so its LP runs
