@@ -16,7 +16,9 @@ Scenario files are JSON with an explicit ``schema_version``.  Version 1:
 Masses and utility values are listed in canonical (lexicographic) node
 order.  Only the sections a subcommand needs are required; ``g`` is the
 dominated / comparison distribution.  Flags override file values and the
-effective configuration is echoed in every report header.
+effective configuration is echoed in every report header.  Each subcommand
+accepts only the override flags it reads (``_COMMANDS``), plus ``--out`` and
+``--format``; any other flag, or ``--format`` without ``--out``, exits 2.
 
 JSON booleans are rejected wherever a number is expected (``params``,
 ``options.threshold``, masses, axes and utility coefficients).
@@ -262,9 +264,9 @@ def _need(value: Any, what: str) -> Any:
 
 
 def _with_flags(s: Scenario, args: argparse.Namespace) -> Scenario:
-    """The scenario with ``--seed``, ``--class`` and ``--theorem`` laid over
-    its options (``--beta/--gamma/--tol`` are resolved by ``_effective_params``)."""
-    flags = {name: getattr(args, name) for name in ("seed", "function_class", "theorem")}
+    """The scenario with those of ``--seed``, ``--class`` and ``--theorem`` its
+    subcommand took laid over its options (params flags: ``_effective_params``)."""
+    flags = {name: getattr(args, name, None) for name in ("seed", "function_class", "theorem")}
     options = dataclasses.replace(s.options, **{k: v for k, v in flags.items() if v is not None})
     return dataclasses.replace(s, options=options)
 
@@ -276,7 +278,7 @@ def _function_class(s: Scenario) -> FunctionClass:
 def _effective_params(s: Scenario, args: argparse.Namespace) -> SearchParams:
     """The scenario's params with ``--beta/--gamma/--tol`` laid over them;
     only subcommands that solve call this, so a bad flag fails only those."""
-    flags = {key: getattr(args, key) for key in ("beta", "gamma", "tol")}
+    flags = {key: getattr(args, key, None) for key in ("beta", "gamma", "tol")}
     flags = {key: val for key, val in flags.items() if val is not None}
     if s.params is not None:
         return dataclasses.replace(s.params, **flags)
@@ -473,13 +475,26 @@ def _cmd_simulate(s: Scenario, args: argparse.Namespace) -> tuple[Report, int]:
     ), 0
 
 
-#: subcommand -> (handler, help text)
+#: subcommand -> (handler, help text, the override flags the handler reads)
 _COMMANDS = {
-    "solve": (_cmd_solve, "solve the stopping problem for pmf f"),
-    "dominate": (_cmd_dominate, "check class dominance of pmf f over pmf g"),
-    "verify": (_cmd_verify, "verify a comparative-statics theorem (single case or generated suite)"),
-    "closure": (_cmd_closure, "closure suite: operator preservation of class membership"),
-    "simulate": (_cmd_simulate, "Monte Carlo evaluation of a threshold policy"),
+    "solve": (_cmd_solve, "solve the stopping problem for pmf f", ("beta", "gamma", "tol")),
+    "dominate": (_cmd_dominate, "check class dominance of pmf f over pmf g", ("class",)),
+    "verify": (_cmd_verify, "verify a comparative-statics theorem (single case or generated suite)",
+               ("theorem", "seed", "beta", "gamma", "tol")),
+    "closure": (_cmd_closure, "closure suite: operator preservation of class membership",
+                ("class", "seed")),
+    "simulate": (_cmd_simulate, "Monte Carlo evaluation of a threshold policy",
+                 ("seed", "beta", "gamma", "tol")),
+}
+
+#: override flag -> its ``add_argument`` keywords
+_FLAGS: dict[str, dict[str, Any]] = {
+    "beta": dict(type=float, help="override params.beta"),
+    "gamma": dict(type=float, help="override params.gamma"),
+    "tol": dict(type=float, help="override params.tol"),
+    "seed": dict(type=int, help="override options.seed"),
+    "class": dict(dest="function_class", choices=[fc.value for fc in FunctionClass], help="override options.class"),
+    "theorem": dict(choices=list(THEOREM_CLASS), help="override options.theorem"),
 }
 
 
@@ -490,21 +505,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "and comparative-statics verification on finite offer grids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("scenario", help="path to a JSON scenario file")
-        p.add_argument("--beta", type=float, default=None, help="override params.beta")
-        p.add_argument("--gamma", type=float, default=None, help="override params.gamma")
-        p.add_argument("--tol", type=float, default=None, help="override params.tol")
-        p.add_argument("--seed", type=int, default=None, help="override options.seed")
-        p.add_argument("--class", dest="function_class", default=None,
-                       choices=[fc.value for fc in FunctionClass],
-                       help="override options.class")
-        p.add_argument("--theorem", default=None, choices=list(THEOREM_CLASS),
-                       help="override options.theorem")
-        p.add_argument("--out", default=None, help="also write a machine-readable report here")
-        p.add_argument("--format", default="json-lines", choices=list(FORMATS),
-                       help="format of the --out report (default json-lines)")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.add_argument("--out", help="also write a machine-readable report here")
+        p.add_argument("--format", choices=list(FORMATS),
+                       help="format of the --out report (default json-lines; needs --out)")
     return parser
 
 
@@ -513,6 +521,8 @@ def run_command(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.format is not None and not args.out:
+            parser.error("--format needs --out")
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code) if exc.code else 0
     try:
@@ -526,7 +536,7 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         return 2
     sys.stdout.write(render_table(report))
     if args.out:
-        data = emit_report(report, args.format)
+        data = emit_report(report, args.format or "json-lines")
         try:
             with open(args.out, "wb") as fh:
                 fh.write(data)

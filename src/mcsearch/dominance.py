@@ -47,7 +47,10 @@ class DominanceResult:
     is the minimal expectation gap over the normalized class section (0.0,
     the gap of U = 0, on a closed-form or coupling ``dominates``), and
     ``witness`` (present exactly when the verdict is ``fails``) is a class
-    member whose expectation gap is below ``-MEMBERSHIP_TOL``.
+    member whose expectation gap is below ``-MEMBERSHIP_TOL``.  A convex
+    ``fails`` from a cone LP that ended non-optimal carries the screen's
+    normalised linear witness: ``lp_optimum`` is that witness's gap, not the
+    minimum, and ``reason`` names the LP status.
     """
 
     verdict: str
@@ -79,11 +82,14 @@ def dominates(f: Pmf, g: Pmf, function_class: FunctionClass) -> DominanceResult:
     times the axis span: then a normalised linear U already shows a
     failure.  A closed-form or coupling ``dominates`` reports the gap of
     ``U = 0``, 0.0, and builds no cone.  Every other query solves the cone
-    LP (``_cone_lp``).  On ``fails`` the minimiser is
-    the witness, its gap is recomputed by direct summation, and it is
-    re-verified as a class member: an LP witness by the LP's own point on
-    every row of the cone it solved, and by ``is_member`` only where one of
-    those rows falls below ``-MEMBERSHIP_TOL``; a closed-form one always.
+    LP (``_cone_lp``); a convex one whose moment fails the screen and
+    whose LP ends non-optimal falls back to the linear U on the axis of
+    largest ``|moment| / span``, certified by direct summation and
+    ``is_member``.  On ``fails`` the minimiser is the witness, its gap is
+    recomputed by direct summation, and it is re-verified as a class
+    member: an LP witness by the LP's own point on every row of the cone it
+    solved, and by ``is_member`` only where one of those rows falls below
+    ``-MEMBERSHIP_TOL``; a closed-form one always.
     """
     grid, fe, ge = common_grid(f, g)
     gap = fe.mass_array - ge.mass_array
@@ -94,18 +100,32 @@ def dominates(f: Pmf, g: Pmf, function_class: FunctionClass) -> DominanceResult:
         if optimum >= -MEMBERSHIP_TOL:
             return DominanceResult("dominates", 0.0, None)
     else:
+        linear = None
         if function_class is FunctionClass.CONVEX:
             # a first moment past the tolerance fails on a normalised linear
             # U, (x_k - low_k) / span_k or one minus it; taken from the low
             # end, an axis of one node has none
             low = np.array([axis[0] for axis in grid.axes])
             span = np.array([axis[-1] for axis in grid.axes]) - low
-            moment = np.abs(gap @ (grid.nodes - low))
-            if (moment <= MEMBERSHIP_TOL * span).all() and _martingale_coupling(grid, gap):
-                return DominanceResult("dominates", 0.0, None)
+            moment = gap @ (grid.nodes - low)
+            if (np.abs(moment) <= MEMBERSHIP_TOL * span).all():
+                if _martingale_coupling(grid, gap):
+                    return DominanceResult("dominates", 0.0, None)
+            else:
+                k = int(np.argmax(np.abs(moment) / np.maximum(span, np.finfo(float).tiny)))
+                linear = (grid.nodes[:, k] - low[k]) / span[k]
+                linear = 1.0 - linear if moment[k] > 0 else linear
         res, cone = _cone_lp(grid, gap, function_class)
         if not res.ok:
-            return DominanceResult("inconclusive", None, None, reason=f"LP status: {res.status}")
+            reason = f"LP status: {res.status}"
+            if linear is not None:
+                # a convex pair whose moment failed the screen still has
+                # its linear witness, certified like every other one
+                witness = tabulate(grid, linear)
+                recomputed = expectation(fe, witness) - expectation(ge, witness)
+                if recomputed < -MEMBERSHIP_TOL and is_member(witness, function_class):
+                    return DominanceResult("fails", recomputed, witness, f"{reason}; linear witness")
+            return DominanceResult("inconclusive", None, None, reason=reason)
         optimum, values = res.fun, res.x[: grid.size]
         if optimum >= -MEMBERSHIP_TOL:
             return DominanceResult("dominates", optimum, None)

@@ -190,6 +190,21 @@ class TestScenarioRoundTrip:
         assert needle in message
 
 
+#: subcommand -> the override flags its handler reads
+READ_FLAGS = {
+    "solve": ("beta", "gamma", "tol"),
+    "dominate": ("class",),
+    "verify": ("theorem", "seed", "beta", "gamma", "tol"),
+    "closure": ("class", "seed"),
+    "simulate": ("seed", "beta", "gamma", "tol"),
+}
+
+#: override flag -> a value it accepts
+FLAG_VALUES = {
+    "beta": "0.5", "gamma": "1.0", "tol": "1e-9", "seed": "9", "class": "convex", "theorem": "T3",
+}
+
+
 class TestSubcommands:
     def test_solve(self, two_point_scenario, capsys):
         code = run_command(["solve", two_point_scenario])
@@ -217,7 +232,8 @@ class TestSubcommands:
         assert "# class = supermodular" in out and "# seed = 5" in out
 
     def test_bad_beta_only_fails_commands_that_need_params(self, fosd_scenario, capsys):
-        assert run_command(["dominate", fosd_scenario, "--beta", "2"]) == 0
+        assert run_command(["dominate", fosd_scenario, "--beta", "2"]) == 2
+        assert "unrecognized arguments: --beta 2" in capsys.readouterr().err
         assert run_command(["solve", fosd_scenario, "--beta", "2"]) == 2
         assert "beta must lie in (0, 1)" in capsys.readouterr().err
 
@@ -240,6 +256,69 @@ class TestSubcommands:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
             "", "error: scenario.params (or --beta/--gamma) is required\n"
+        )
+
+    def test_each_subcommand_takes_the_flags_it_reads(self, fosd_scenario):
+        flags = {name: entry[2] for name, entry in cli_module._COMMANDS.items()}
+        assert flags == READ_FLAGS
+        # 25 settable flag slots: 15 overrides plus --out and --format on each
+        assert sum(map(len, READ_FLAGS.values())) == 15
+        parser = cli_module._build_parser()
+        for command, read in READ_FLAGS.items():
+            for flag in read:
+                args = parser.parse_args([command, fosd_scenario, f"--{flag}", FLAG_VALUES[flag]])
+                assert getattr(args, "function_class" if flag == "class" else flag) is not None
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [(c, f) for c in READ_FLAGS for f in FLAG_VALUES if f not in READ_FLAGS[c]],
+    )
+    def test_unread_flag_exits_2(self, fosd_scenario, command, flag, capsys):
+        value = FLAG_VALUES[flag]
+        assert run_command([command, fosd_scenario, f"--{flag}", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: unrecognized arguments: --{flag} {value}\n" in captured.err
+
+    @pytest.mark.parametrize("command", sorted(READ_FLAGS))
+    def test_format_without_out_exits_2(self, fosd_scenario, command, capsys):
+        assert run_command([command, fosd_scenario, "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: --format needs --out\n")
+
+    def test_params_flags_alone_stand_in_for_params(self, tmp_path, capsys):
+        path = write_json(
+            tmp_path / "no_params.json",
+            {
+                "schema_version": 1,
+                "grid": {"axes": [[0.0, 2.0]]},
+                "pmfs": {"f": [0.5, 0.5]},
+                "utility": {"family": "linear", "a": [1.0]},
+            },
+        )
+        assert run_command(["solve", path, "--beta", "0.5", "--gamma", "2.5"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert {"# beta = 0.5", "# gamma = 2.5", "# tol = 1e-10"} <= set(out)
+        assert "# reservation_utility = 2.5" in out
+
+    def test_unknown_class_in_scenario_names_the_choices(self, tmp_path, capsys):
+        path = write_json(
+            tmp_path / "bad_class.json",
+            {
+                "schema_version": 1,
+                "grid": {"axes": [[0.0, 2.0]]},
+                "pmfs": {"f": [0.25, 0.75], "g": [0.5, 0.5]},
+                "options": {"class": "concave"},
+            },
+        )
+        assert run_command(["dominate", path]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "",
+            "error: unknown function class 'concave'; choose one of increasing, convex, "
+            "componentwise_convex, supermodular, ultramodular, increasing_supermodular, "
+            "increasing_ultramodular\n",
         )
 
     def test_jobs_option_is_rejected(self, fosd_scenario, tmp_path, capsys):

@@ -429,6 +429,39 @@ class TestInconclusive:
         assert res == DominanceResult("inconclusive", None, None, "LP status: iteration_limit")
         assert not res
 
+    def test_failed_convex_lp_fails_on_the_linear_witness(self, pair, monkeypatch):
+        """The pair's first moment fails the convex screen, so a stalled
+        cone LP still leaves U = x / 2, certified like any witness; one
+        that does not re-verify leaves the LP's status."""
+        stalled = LpResult("iteration_limit", None, None)
+        monkeypatch.setattr(dominance_module, "solve_lp", lambda *a, **k: stalled)
+        res = dominates(*pair, FC.CONVEX)
+        assert (res.verdict, res.lp_optimum) == ("fails", -0.25)
+        assert res.witness == tabulate(pair[0].grid, [0.0, 1.0])
+        assert res.reason == "LP status: iteration_limit; linear witness"
+        rejected = MembershipResult(False, FC.CONVEX, None)
+        monkeypatch.setattr(dominance_module, "is_member", lambda u, fc: rejected)
+        assert dominates(*pair, FC.CONVEX) == DominanceResult(
+            "inconclusive", None, None, "LP status: iteration_limit"
+        )
+
+    def test_numerical_convex_lp_fails_on_the_linear_witness(self):
+        """A random 3x3x3 pair whose convex cone LP ends ``numerical``: its
+        verdict is the normalised linear U on the axis of largest
+        |moment| / span, a member whose gap lies above the HiGHS minimum."""
+        rng = np.random.default_rng(1023)
+        grid = random_grid(rng, (3, 3, 3))
+        f, g = random_pmf(grid, rng), random_pmf(grid, rng)
+        res = dominates(f, g, FC.CONVEX)
+        assert (res.verdict, res.reason) == ("fails", "LP status: numerical; linear witness")
+        assert res.lp_optimum == expectation(f, res.witness) - expectation(g, res.witness)
+        assert res.lp_optimum == pytest.approx(-0.261369548171, abs=1e-9)
+        assert res.lp_optimum >= _convex_minimum_highs(grid, f.mass_array - g.mass_array)
+        assert is_member(res.witness, FC.CONVEX).member
+        values = np.array(res.witness.values).reshape(grid.shape)
+        assert values.min() == 0.0 and values.max() == 1.0
+        assert sum(np.ptp(values, axis=k).max() > 0 for k in range(3)) == 1
+
     def test_minimum_not_confirmed_by_direct_summation(self, pair, monkeypatch):
         # a claimed minimum whose point, summed directly, has gap 0
         claimed = LpResult("optimal", np.zeros(2), -0.5)
@@ -591,6 +624,11 @@ class TestGenerators:
         shifted = fosd_shift(g, (0,), (2,), 0.25)
         assert shifted.mass == (0.25, 0.75)
 
+    def test_fosd_shift_negative_eps(self):
+        g = make_pmf(make_grid([[0, 2]]), [0.5, 0.5])
+        with pytest.raises(ValueError, match="^eps must be nonnegative$"):
+            fosd_shift(g, (0,), (2,), -0.1)
+
     def test_fosd_shift_identity(self):
         g = make_pmf(make_grid([[0, 2]]), [0.5, 0.5])
         assert fosd_shift(g, (0,), (2,), 0.0) == g
@@ -631,6 +669,13 @@ class TestGenerators:
         with pytest.raises(ValueError, match="cannot spread"):
             mean_preserving_spread(g, 0, (1,), 0.7)
 
+    def test_spread_argument_checks(self):
+        g = make_pmf(make_grid([[0, 1, 2]]), [0.2, 0.6, 0.2])
+        with pytest.raises(ValueError, match="^eps must be nonnegative$"):
+            mean_preserving_spread(g, 0, (1,), -0.1)
+        with pytest.raises(ValueError, match="^axis 1 out of range$"):
+            mean_preserving_spread(g, 1, (1,), 0.1)
+
     def test_spread_preserves_marginal_means(self):
         rng = np.random.default_rng(23)
         grid = make_grid([[0, 1, 2, 4], [0, 3, 5]])
@@ -661,6 +706,19 @@ class TestGenerators:
         g = make_pmf(unit_square, [0.5, 0, 0, 0.5])
         with pytest.raises(ValueError, match="cannot transfer"):
             concordance_transfer(g, (0, 1), ((1, 2), (1, 2)), 0.1)
+
+    def test_transfer_argument_checks(self, unit_square):
+        g = make_pmf(unit_square, [0.25] * 4)
+        cell = ((1, 2), (1, 2))
+        with pytest.raises(ValueError, match="^delta must be nonnegative$"):
+            concordance_transfer(g, (0, 1), cell, -0.1)
+        with pytest.raises(ValueError, match=r"^dims \(1, 1\) must be two distinct dimensions$"):
+            concordance_transfer(g, (1, 1), cell, 0.1)
+        with pytest.raises(ValueError, match=r"^cell coordinates must be ordered \(low, high\) in both dims$"):
+            concordance_transfer(g, (0, 1), ((1, 2), (2, 1)), 0.1)
+        cube = make_pmf(make_grid([[0, 1], [0, 1], [0, 1]]), [0.125] * 8)
+        with pytest.raises(ValueError, match=r"^at= must give coordinates for dims \[2\]$"):
+            concordance_transfer(cube, (0, 1), ((0, 1), (0, 1)), 0.05, at=(1.0, 0.0))
 
     def test_transfer_three_dims_needs_anchor(self):
         grid = make_grid([[0, 1], [0, 1], [0, 1]])

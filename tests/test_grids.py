@@ -51,6 +51,12 @@ class TestMakeGrid:
         assert g == h and hash(g) == hash(h)
         assert g != make_grid([[0, 1], [10, 20, 31]])
 
+    def test_node_index_checks_its_coordinates(self, unit_square):
+        with pytest.raises(ValueError, match="^expected 2 coordinates, got 1$"):
+            unit_square.node_index((1.0,))
+        with pytest.raises(ValueError, match="^coordinate 1.5 not on axis 1$"):
+            unit_square.node_index((1.0, 1.5))
+
     @pytest.mark.parametrize(
         "axes",
         [[], [[]], [[2, 1]], [[1, 1]], [[0, float("nan")]], [[0, float("inf")]]],
@@ -65,6 +71,12 @@ class TestSearchParams:
     def test_rejects_bad_tol(self, tol):
         with pytest.raises(ValueError, match=f"tol must be a positive real, got {tol}"):
             SearchParams(0.5, 1.0, tol)
+
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf])
+    def test_rejects_bad_gamma(self, gamma):
+        with pytest.raises(ValueError, match=f"^gamma must be a positive real, got {gamma}$"):
+            SearchParams(0.5, gamma)
 
 
 class TestMakePmf:
@@ -218,6 +230,13 @@ class TestCommonGrid:
                     want[grid.node_index(old.grid.node(i))] = old.mass[i]
                 assert new.grid == grid
                 assert np.array(new.mass).tobytes() == np.array(want).tobytes()
+
+    def test_pmf_already_on_the_union_grid_is_kept(self):
+        f = make_pmf(make_grid([[0, 1, 2]]), [0.2, 0.3, 0.5])
+        g = make_pmf(make_grid([[1, 2]]), [0.4, 0.6])
+        grid, fe, ge = common_grid(f, g)
+        assert grid == f.grid and fe is f
+        assert ge.grid == grid and ge.mass == (0.0, 0.4, 0.6)
 
     def test_dimension_mismatch(self, unit_square):
         f = make_pmf(unit_square, [0.25] * 4)

@@ -94,6 +94,12 @@ class TestContinuationMap:
         values = [continuation_map(t, pmf, u, p) for t in np.linspace(-3, 5, 40)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+    def test_candidate_must_be_finite(self, two_point, t):
+        _, pmf, u, p = two_point
+        with pytest.raises(ValueError, match=f"^candidate must be finite, got {t!r}$"):
+            continuation_map(t, pmf, u, p)
+
     def test_grid_mismatch(self, two_point):
         _, pmf, _, p = two_point
         stray = tabulate(make_grid([[0, 1]]), [0, 1])

@@ -136,6 +136,12 @@ class TestVerifyTheorem:
         with pytest.raises(ValueError, match="one grid"):
             verify_theorem(TheoremCase("T2a", f, g, u, SearchParams(0.5, 1.0)))
 
+    def test_rejects_utility_on_another_grid(self, unit_square):
+        f = make_pmf(unit_square, [0.25] * 4)
+        u = tabulate_family("product", make_grid([[0, 1], [0, 1]]))
+        with pytest.raises(ValueError, match="^utility must be tabulated on the pmfs' grid$"):
+            verify_theorem(TheoremCase("T2a", f, f, u, SearchParams(0.5, 1.0)))
+
     def test_rejects_unknown_theorem(self, unit_square):
         f = make_pmf(unit_square, [0.25] * 4)
         u = tabulate_family("product", unit_square)
@@ -233,6 +239,12 @@ class TestSuites:
             generate_case("T2a", 0, 0, (1, 1))
         with pytest.raises(ValueError, match="concordance transfers need at least 2 nodes on axis 1"):
             generate_case("T3", 0, 0, (3, 1))
+
+    def test_transfer_needs_enough_dimensions(self):
+        with pytest.raises(ValueError, match="^concordance transfers need at least two dimensions$"):
+            generate_case("T3", 0, 0, (3,))
+        with pytest.raises(ValueError, match="^mean-preserving spreads need an axis with at least 3 nodes$"):
+            generate_case("T2b", 0, 0, (2, 2))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

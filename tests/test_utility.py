@@ -19,6 +19,7 @@ from mcsearch import (
     truncate,
 )
 from mcsearch.simplex import LpResult, solve_lp
+from mcsearch.utility import RANDOM_MEMBER_TRIES, MembershipResult
 from mcsearch.statics import _random_grid
 from cone_oracle import oracle_convex_membership
 from conftest import random_grid
@@ -57,6 +58,10 @@ class TestFamilies:
 
     def test_custom(self, unit_square, counterexample):
         assert counterexample.values == (5.0, -5.0, 14.0, 5.0)
+
+    def test_linear_needs_its_coefficients(self, unit_square):
+        with pytest.raises(ValueError, match="^linear family needs coefficient vector a$"):
+            tabulate_family("linear", unit_square)
 
     def test_errors(self, unit_square):
         with pytest.raises(ValueError, match="unknown"):
@@ -356,6 +361,25 @@ class TestRandomMembers:
         for shape in [(2, 2), (3, 4), (2, 3, 2)]:
             u = random_member(fc, random_grid(rng, shape), rng)
             assert is_member(u, fc).member
+
+    def test_all_zero_candidate_is_redrawn(self, unit_square, monkeypatch):
+        draws = iter([np.zeros(4), np.array([0.0, 1.0, 1.0, 2.0])])
+        monkeypatch.setattr(utility_module, "_random_values", lambda fc, grid, rng: next(draws))
+        u = random_member(FunctionClass.INCREASING, unit_square, np.random.default_rng(0))
+        assert u.values == (0.0, 2.5, 2.5, 5.0)
+
+    def test_gives_up_after_its_tries(self, unit_square, monkeypatch):
+        checked = []
+
+        def rejecting(u, fc):
+            checked.append(u)
+            return MembershipResult(False, fc, None)
+
+        monkeypatch.setattr(utility_module, "is_member", rejecting)
+        message = f"^could not construct a verified increasing member in {RANDOM_MEMBER_TRIES} tries$"
+        with pytest.raises(RuntimeError, match=message):
+            random_member(FunctionClass.INCREASING, unit_square, np.random.default_rng(0))
+        assert len(checked) == RANDOM_MEMBER_TRIES
 
     def test_deterministic_given_rng_state(self, unit_square):
         a = random_member(FunctionClass.INCREASING, unit_square, np.random.default_rng(5))
