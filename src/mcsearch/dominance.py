@@ -43,14 +43,18 @@ from .utility import (
 class DominanceResult:
     """Verdict of a dominance query with its certificate.
 
-    verdict is ``dominates``, ``fails`` or ``inconclusive``; ``lp_optimum``
-    is the minimal expectation gap over the normalized class section (0.0,
-    the gap of U = 0, on a closed-form or coupling ``dominates``), and
+    verdict is ``dominates``, ``fails`` or ``inconclusive``, and
     ``witness`` (present exactly when the verdict is ``fails``) is a class
-    member whose expectation gap is below ``-MEMBERSHIP_TOL``.  A convex
+    member whose expectation gap is below ``-MEMBERSHIP_TOL``.
+    ``lp_optimum`` depends on the verdict.  On ``dominates`` it is the LP
+    minimum of the expectation gap over the normalized class section, or
+    0.0, the gap of U = 0, for a closed form or a coupling.  On every
+    ``fails`` it is the witness's gap, recomputed by direct summation; for a
+    closed-form or LP witness that is the minimum up to rounding.  A convex
     ``fails`` from a cone LP that ended non-optimal carries the screen's
-    normalised linear witness: ``lp_optimum`` is that witness's gap, not the
-    minimum, and ``reason`` names the LP status.
+    normalised linear witness, whose gap is not the minimum, and ``reason``
+    names the LP status.  On ``inconclusive`` it is the minimum that could
+    not be certified, or None when the LP ended non-optimal.
     """
 
     verdict: str

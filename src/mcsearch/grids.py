@@ -241,7 +241,7 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
 class OfferSampler:
     """Draws node indices from a probability vector ``p`` bit for bit as
     ``rng.choice(p.size, size, p=p)`` does, without its per-call work, and
-    only those a node mask accepts.
+    keeps only those the boolean node mask ``accepts`` holds.
 
     ``choice`` checks ``p``, rebuilds the normalized CDF and binary-searches
     it for every uniform from ``rng.random``.  Here the CDF is built once,
@@ -256,18 +256,19 @@ class OfferSampler:
     are too.  ``p`` must be what ``choice`` accepts; a ``Pmf`` guarantees
     it (nonnegative, finite, summing to 1 within ``MASS_TOL``).
 
-    A threshold policy needs only the draws whose node it accepts.
-    ``classify`` marks, for a node mask, the buckets holding a node that a
-    uniform in them can land on and that the mask accepts.  ``accepted``
-    then drops every uniform in an unmarked bucket from its bucket alone,
-    takes the one node of a marked bucket that is not split, and searches
-    only the uniforms in marked split buckets.  It returns exactly the
-    draws of ``choice`` that the mask accepts, and consumes the same
-    stream; an all-true mask returns every draw.  It works in buffers of
-    length ``capacity`` allocated once.
+    A threshold policy needs only the draws whose node it accepts.  The
+    read-only ``marked`` holds, per bucket, whether a uniform in it can
+    land on a node that ``accepts`` holds: node ``first[b]`` or, in a split
+    bucket, a later node up to ``last[b]`` whose CDF step is positive, so
+    zero-mass nodes, never drawn, mark nothing.  ``accepted`` drops every
+    uniform in an unmarked bucket from its bucket alone, takes the one node
+    of a marked bucket that is not split, and searches only the uniforms in
+    marked split buckets.  It returns exactly the draws of ``choice`` that
+    ``accepts`` holds, and consumes the same stream; an all-true mask
+    returns every draw.
     """
 
-    def __init__(self, p: np.ndarray, capacity: int) -> None:
+    def __init__(self, p: np.ndarray, accepts: np.ndarray) -> None:
         cdf = p.cumsum()
         cdf /= cdf[-1]
         self._buckets = 1 << (16 * p.size - 1).bit_length()
@@ -279,30 +280,19 @@ class OfferSampler:
         # no uniform in a bucket lands past its ``last`` node
         self._last = self._scaled_cdf.searchsorted(edges[1:], side="left")
         self._split = self._first != self._last
-        self._uniform = np.empty(capacity)
-        self._bucket = np.empty(capacity, dtype=np.intp)
-        self._flag = np.empty(capacity, dtype=bool)
-
-    def classify(self, accepts: np.ndarray) -> np.ndarray:
-        """Per bucket, whether a uniform in it can land on a node the
-        boolean node mask ``accepts`` holds.
-
-        A uniform in bucket b lands on node ``first[b]`` or, in a split
-        bucket, on a later node up to ``last[b]`` whose CDF step is
-        positive; zero-mass nodes are never drawn, so they mark nothing."""
+        self._accepts = accepts
         drawn = np.diff(self._scaled_cdf, prepend=0.0) > 0.0
         counts = np.concatenate(([0], np.cumsum(accepts & drawn)))
         later = counts[self._last + 1] > counts[self._first + 1]
-        return accepts[self._first] | (self._split & later)
+        self.marked = accepts[self._first] | (self._split & later)
+        self.marked.setflags(write=False)
 
-    def accepted(
-        self, rng: np.random.Generator, size: int, accepts: np.ndarray, marked: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Of the next ``size`` draws (``size <= capacity``), the ascending
-        positions of those whose node ``accepts`` holds, and their nodes;
-        ``marked`` is ``classify(accepts)``."""
-        scaled, bucket = self._buckets_of(rng, size)
-        where = np.flatnonzero(np.take(marked, bucket, out=self._flag[:size], mode="clip"))
+    def accepted(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Of the next ``size`` draws, the ascending positions of those
+        whose node ``accepts`` holds, and their nodes."""
+        scaled = rng.random(size) * self._buckets
+        bucket = scaled.astype(np.intp)  # truncation: scaled >= 0
+        where = np.flatnonzero(self.marked[bucket])
         bucket = bucket[where]
         node = self._first[bucket]
         hit = np.flatnonzero(self._split[bucket])
@@ -310,20 +300,12 @@ class OfferSampler:
             found = self._scaled_cdf.searchsorted(scaled[where[hit]], side="right")
             node[hit] = found
             # a split bucket can hold rejected nodes beside accepted ones
-            missed = ~accepts[found]
+            missed = ~self._accepts[found]
             if missed.any():
                 keep = np.ones(where.size, dtype=bool)
                 keep[hit[missed]] = False
                 where, node = where[keep], node[keep]
         return where, node
-
-    def _buckets_of(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """The next ``size`` uniforms scaled by ``M``, and their buckets."""
-        scaled = rng.random(out=self._uniform[:size])
-        scaled *= self._buckets
-        bucket = self._bucket[:size]
-        np.copyto(bucket, scaled, casting="unsafe")  # truncation: scaled >= 0
-        return scaled, bucket
 
 
 def sample_offers(pmf: Pmf, seed: int, n: int) -> list[tuple[float, ...]]:
@@ -337,7 +319,6 @@ def sample_offers(pmf: Pmf, seed: int, n: int) -> list[tuple[float, ...]]:
     """
     n = check_count(n, "n")
     rng = np.random.default_rng(check_count(seed, "seed", least=0))
-    sampler = OfferSampler(pmf.mass_array / pmf.mass_array.sum(), n)
-    every = np.ones(pmf.grid.size, dtype=bool)
-    _, idx = sampler.accepted(rng, n, every, sampler.classify(every))
+    sampler = OfferSampler(pmf.mass_array / pmf.mass_array.sum(), np.ones(pmf.grid.size, dtype=bool))
+    _, idx = sampler.accepted(rng, n)
     return list(map(tuple, pmf.grid.nodes[idx].tolist()))

@@ -2,16 +2,17 @@
 
 Two-phase primal simplex on the full tableau.  Each pivot is priced by
 Dantzig's rule: the most negative reduced cost enters, the lowest column
-index on ties.  The ratio test picks the smallest ratio, and among ratios
-within 1e-12 of it the row with the smallest basic column.  Dantzig's rule
-can cycle on degenerate programs (Beale's example does), so during a run of
-degenerate pivots the solver records a crc32 digest of each basis it
-visits.  When a recorded basis comes back it prices by Bland's rule (the
-first negative reduced cost), which cannot cycle, until the next pivot that
-strictly lowers the objective; that pivot clears the record and Dantzig
-pricing resumes.  A pivot that lowers the objective cannot lie on a cycle,
-so the solve terminates; a digest collision only starts Bland's rule early.
-Meant for the modest cone programs this package generates; it puts
+index on ties.  The ratio test divides only the rows whose entry in the
+entering column passes ``PIVOT_TOL``, picks the smallest ratio, and among
+ratios within 1e-12 of it the row with the smallest basic column.
+Dantzig's rule can cycle on degenerate programs (Beale's example does), so
+during a run of degenerate pivots the solver records a crc32 digest of each
+basis it visits.  When a recorded basis comes back it prices by Bland's
+rule (the first negative reduced cost), which cannot cycle, until the next
+pivot that strictly lowers the objective; that pivot clears the record and
+Dantzig pricing resumes.  A pivot that lowers the objective cannot lie on a
+cycle, so the solve terminates; a digest collision only starts Bland's rule
+early.  Meant for the modest cone programs this package generates; it puts
 determinism and transparent failure modes first.  Programs it cannot
 certify come back with a non-``optimal`` status instead of a guess.
 
@@ -37,10 +38,16 @@ update would subtract a zero, which leaves every value as it is and can
 change only a zero's sign.  No pivot choice or ratio reads that sign, and
 ``x`` does not either: each basic value is added to an offset of +0.0 or
 a nonzero bound (a bound of -0.0 is read as +0.0).  So a solve takes the
-pivots, and returns the bits, of the full update.  The ratio test reuses
-buffers allocated once per solve.  Float drift in the right-hand side is
-clamped after each pivot that moved it, and after each phase's first
-pivot, which also clamps what phase 1's drive-out pivots left.
+pivots, and returns the bits, of the full update.  Float drift in the
+right-hand side is clamped after each pivot that moved it, and after each
+phase's first pivot, which also clamps what phase 1's drive-out pivots
+left.
+
+Phase 1 minimizes a sum of artificials, bounded below by 0, so a phase-1
+ratio test that finds no blocking row is float drift and ends
+``numerical``.  In phase 2 the entering column spans a ray; ``unbounded``
+is reported only when that ray, mapped back to ``x``, checks out against
+the program itself, and ``numerical`` otherwise.
 """
 from __future__ import annotations
 
@@ -67,7 +74,10 @@ class LpResult:
 
     status is one of ``optimal``, ``infeasible``, ``unbounded``,
     ``iteration_limit``, ``numerical`` (the tableau lost feasibility beyond
-    repair).  ``x`` and ``fun`` are populated only when status == ``optimal``.
+    repair, or claimed a ray that does not check out).  ``unbounded`` is
+    certified by its ray ``d``, scaled to max-norm 1: ``c @ d < -OPT_TOL``,
+    and ``d`` keeps every row and bound within ``FEAS_TOL``.  ``x`` and
+    ``fun`` are populated only when status == ``optimal``.
 
     The pivot counts are set whatever the status: pivots of phase 1 and of
     phase 2 (not counting the pivots that drive zero-valued artificials out
@@ -201,19 +211,18 @@ def solve_lp(
     basis[slack_rows] = slack_cols
     basis[art_rows] = art_cols
     pivot_limit = 2000 + 50 * (m + total_cols)
-    # ratio-test workspaces, one per solve; a dropped row shortens them
-    pos_buf, blocks_buf, ratios_buf = np.empty(m), np.empty(m, dtype=bool), np.empty(m)
 
     counts = dict(phase1_pivots=0, phase2_pivots=0, degenerate_pivots=0, bland_pivots=0)
 
-    def run(cost: np.ndarray, n_enter: int, iters_left: int, phase: str) -> str:
+    def run(cost: np.ndarray, n_enter: int, iters_left: int, phase: str) -> tuple[str, int]:
         # Maintain the reduced-cost row explicitly, one entry per tableau
         # column (the last one is never priced).  Only the first n_enter
         # columns may enter (phase 2 blocks the trailing artificials).
         # Dantzig pricing until a run of degenerate pivots brings back a
         # basis it has already visited, then Bland's rule until the next
         # pivot that moves the objective.  Each pivot is counted under
-        # ``phase`` in ``counts``.
+        # ``phase`` in ``counts``.  Returns the status and, when it is
+        # ``unbounded``, the entering column no row blocks (else -1).
         z = cost.copy()
         basic_cost = cost[basis]
         for i in basic_cost.nonzero()[0]:
@@ -221,10 +230,6 @@ def solve_lp(
         priced = z[:n_enter]
         Tt = T.T  # row j is tableau column j, contiguous
         rhs = Tt[-1]
-        # pos is rhs clamped at 0, so a basic value at -1e-15 acts as 0,
-        # never as a negative ratio
-        pos, blocks, ratios = pos_buf[:m], blocks_buf[:m], ratios_buf[:m]
-        np.maximum(rhs, 0.0, out=pos)
         drift = True  # the pivots that drove out phase 1's artificials clamped nothing
         bland = False
         seen: set[int] = set()  # crc32 digests of the bases of this degenerate run
@@ -232,26 +237,25 @@ def solve_lp(
             if bland:
                 negative = (priced < -OPT_TOL).nonzero()[0]
                 if negative.size == 0:
-                    return "optimal"
+                    return "optimal", -1
                 enter = int(negative[0])
             else:
                 enter = int(priced.argmin())
                 if not priced[enter] < -OPT_TOL:
-                    return "optimal"
-            if not m:
-                return "unbounded"  # no row is left to block the entering column
+                    return "optimal", -1
             col = Tt[enter]
-            # rows that cannot block stay inf
-            np.greater(col, PIVOT_TOL, out=blocks)
-            ratios.fill(np.inf)
-            np.divide(pos, col, out=ratios, where=blocks)
-            leave = int(ratios.argmin())
-            best = ratios[leave]
+            rows = (col > PIVOT_TOL).nonzero()[0]  # the rows that can block
+            if not rows.size:
+                return "unbounded", enter
+            # rhs clamped at 0, so a basic value at -1e-15 acts as 0, never
+            # as a negative ratio
+            ratios = np.maximum(rhs[rows], 0.0) / col[rows]
+            k = int(ratios.argmin())
+            best = ratios[k]
             if best == np.inf:
-                return "unbounded"
-            tied = (ratios <= best + 1e-12).nonzero()[0]
-            if tied.size > 1:
-                leave = int(tied[basis[tied].argmin()])
+                return "unbounded", enter
+            tied = rows[ratios <= best + 1e-12]
+            leave = int(tied[basis[tied].argmin()]) if tied.size > 1 else int(rows[k])
             # rhs moves off the pivot row only if the pivot row's entry is
             # nonzero; otherwise that entry alone becomes a signed 0
             moved = rhs[leave] != 0.0
@@ -260,8 +264,6 @@ def solve_lp(
             if moved or drift:  # clamp float drift
                 rhs[(rhs < 0.0) & (rhs > -1e-9)] = 0.0
                 drift = False
-            if moved:
-                np.maximum(rhs, 0.0, out=pos)
             counts[phase] += 1
             counts["bland_pivots"] += bland
             if best == 0.0:
@@ -273,7 +275,7 @@ def solve_lp(
             else:  # the objective moved, so no earlier basis can come back
                 seen.clear()
                 bland = False
-        return "iteration_limit"
+        return "iteration_limit", -1
 
     def result(status: str, x: np.ndarray | None = None, fun: float | None = None) -> LpResult:
         return LpResult(status, x, fun, **counts)
@@ -282,9 +284,10 @@ def solve_lp(
     if art_rows.size:
         cost1 = np.zeros(width)
         cost1[n_cols:-1] = 1.0
-        status = run(cost1, total_cols, pivot_limit, "phase1_pivots")
+        status, _ = run(cost1, total_cols, pivot_limit, "phase1_pivots")
         if status != "optimal":
-            return result(status)
+            # a sum of nonnegative artificials has no ray of descent
+            return result("numerical" if status == "unbounded" else status)
         art_rows = (basis >= n_cols).nonzero()[0]
         if T[art_rows, -1].sum() > 1e-8:
             return result("infeasible")
@@ -311,7 +314,25 @@ def solve_lp(
     # --- phase 2 -------------------------------------------------------------
     cost2 = np.zeros(width)
     cost2[:ny] = sign * c[var]
-    status = run(cost2, n_cols, pivot_limit - counts["phase1_pivots"], "phase2_pivots")
+    status, enter = run(cost2, n_cols, pivot_limit - counts["phase1_pivots"], "phase2_pivots")
+    if status == "unbounded":
+        # the ray: y_enter = 1, each basic y falls by its entry in the
+        # entering column, mapped to x and scaled to max-norm 1
+        dy = np.zeros(total_cols)
+        dy[enter] = 1.0
+        dy[basis] = -T[:, enter]
+        d = np.zeros(n)
+        np.add.at(d, var, sign * dy[:ny])
+        scale = np.abs(d).max(initial=0.0)
+        d /= scale if scale > 0.0 else 1.0
+        if not (
+            c @ d < -OPT_TOL
+            and (a_ub @ d <= FEAS_TOL).all()
+            and (np.abs(a_eq @ d) <= FEAS_TOL).all()
+            and (d[has_lo] >= -FEAS_TOL).all()
+            and (d[has_hi] <= FEAS_TOL).all()
+        ):
+            status = "numerical"
     if status != "optimal":
         return result(status)
 

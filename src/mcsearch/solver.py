@@ -26,8 +26,9 @@ from .utility import TabulatedUtility, tabulate
 #: Hard cap on contraction iterations before the solver reports a defect.
 MAX_ITERATIONS = 10**6
 
-#: Episodes decided per call of ``OfferSampler.accepted``: the scratch of a
-#: simulation stays this long, whatever its episode count.
+#: Episodes decided per call of ``OfferSampler.accepted``: the arrays one
+#: call makes, and the survivor mask, stay this long whatever the episode
+#: count.
 _DRAW_CHUNK = 1 << 14
 
 
@@ -243,8 +244,8 @@ def simulate_search(
     ``rng.choice``, but only the accepted ones are ever looked up: a period
     runs in chunks of ``_DRAW_CHUNK`` episodes, and ``OfferSampler.accepted``
     decides each uniform from its guide-table bucket, searching the CDF only
-    in the buckets ``classify`` marks.  The stream and the stats are those
-    of drawing every offer.  When no node a draw can land on reaches the
+    in the marked split buckets.  The stream and the stats are those of
+    drawing every offer.  When no node a draw can land on reaches the
     threshold, nothing is drawn: every episode realizes the flow value of
     the whole horizon.
     """
@@ -256,10 +257,8 @@ def simulate_search(
     beta, gamma = params.beta, params.gamma
     horizon = simulation_horizon(u, params)
     rng = np.random.default_rng(seed)
-    sampler = OfferSampler(pmf.mass_array / pmf.mass_array.sum(), min(episodes, _DRAW_CHUNK))
     vals = u.values_array
-    accepts = vals >= threshold
-    marked = sampler.classify(accepts)
+    sampler = OfferSampler(pmf.mass_array / pmf.mass_array.sum(), vals >= threshold)
 
     realized = np.empty(episodes)
     # episodes still searching, in order; survivors are compacted into spare
@@ -271,7 +270,7 @@ def simulate_search(
     accepted = 0
     # when no draw can land on an accepted node, every episode runs to the
     # horizon whatever is drawn
-    periods = horizon if marked.any() else 0
+    periods = horizon if sampler.marked.any() else 0
     for t in range(periods):
         # flow[t] + beta**t * U / (1 - beta) at every node, operation for operation
         gains = vals * beta**t
@@ -280,7 +279,7 @@ def simulate_search(
         kept = 0
         for start in range(0, searching, _DRAW_CHUNK):
             ids = alive[start:min(start + _DRAW_CHUNK, searching)]
-            where, node = sampler.accepted(rng, ids.size, accepts, marked)
+            where, node = sampler.accepted(rng, ids.size)
             realized[ids[where]] = gains[node]
             accepted += where.size
             keep = survives[:ids.size]

@@ -462,6 +462,27 @@ class TestInconclusive:
         assert values.min() == 0.0 and values.max() == 1.0
         assert sum(np.ptp(values, axis=k).max() > 0 for k in range(3)) == 1
 
+    def test_drifted_ray_is_numerical_not_unbounded(self, monkeypatch):
+        """Seed 1017's convex cone LP is boxed, 0 <= U <= 1, yet after
+        11,818 phase-2 pivots no row blocked the entering column.  That ray
+        does not check out, so the LP ends ``numerical``, and the pair
+        fails on its linear witness."""
+        rng = np.random.default_rng(1017)
+        grid = random_grid(rng, (3, 3, 3))
+        f, g = random_pmf(grid, rng), random_pmf(grid, rng)
+        cone_lp, solved = dominance_module._cone_lp, []
+
+        def recorded(*args):
+            res, cone = cone_lp(*args)
+            solved.append(res.status)
+            return res, cone
+
+        monkeypatch.setattr(dominance_module, "_cone_lp", recorded)
+        res = dominates(f, g, FC.CONVEX)
+        assert solved == ["numerical"]
+        assert (res.verdict, res.reason) == ("fails", "LP status: numerical; linear witness")
+        assert res.lp_optimum == -0.1305377248086474
+
     def test_minimum_not_confirmed_by_direct_summation(self, pair, monkeypatch):
         # a claimed minimum whose point, summed directly, has gap 0
         claimed = LpResult("optimal", np.zeros(2), -0.5)

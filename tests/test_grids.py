@@ -307,11 +307,10 @@ class TestSampling:
         every = np.ones(p.size, dtype=bool)
         for seed in (0, 5):
             want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            sampler = OfferSampler(p, size + 3)
-            marked = sampler.classify(every)
-            for _ in range(3):  # the buffers are reused draw after draw
+            sampler = OfferSampler(p, every)
+            for _ in range(3):  # one sampler serves draw after draw
                 want = want_rng.choice(p.size, size, p=p)
-                where, got = sampler.accepted(got_rng, size, every, marked)
+                where, got = sampler.accepted(got_rng, size)
                 assert np.array_equal(where, np.arange(size))
                 assert got.dtype == want.dtype and np.array_equal(got, want)
             assert got_rng.random() == want_rng.random()  # same stream consumed
@@ -329,8 +328,8 @@ class TestSampling:
         w[rng.integers(n)] += 0.5
         p = np.asarray(normalize_weights(w))
         want = np.random.default_rng(seed).choice(n, size, p=p)
-        sampler, every = OfferSampler(p, size), np.ones(n, dtype=bool)
-        _, got = sampler.accepted(np.random.default_rng(seed), size, every, sampler.classify(every))
+        sampler = OfferSampler(p, np.ones(n, dtype=bool))
+        _, got = sampler.accepted(np.random.default_rng(seed), size)
         assert np.array_equal(got, want)
 
     @settings(deadline=None, max_examples=60)
@@ -353,17 +352,16 @@ class TestSampling:
         vals = rng.normal(size=n)
         threshold = vals[rng.integers(n)] if rng.random() < 0.5 else float(rng.normal())
         accepts = vals >= threshold
-        sampler = OfferSampler(p, size)
-        marked = sampler.classify(accepts)
+        sampler = OfferSampler(p, accepts)
         got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        for _ in range(2):  # the buffers are reused call after call
-            where, node = sampler.accepted(got_rng, size, accepts, marked)
+        for _ in range(2):  # one sampler serves call after call
+            where, node = sampler.accepted(got_rng, size)
             index = want_rng.choice(n, size, p=p)
             assert np.array_equal(where, np.flatnonzero(accepts[index]))
             assert np.array_equal(node, index[where])
         assert got_rng.random() == want_rng.random()  # same stream consumed
         if not accepts[p > 0].any():  # zero-mass nodes are never drawn
-            assert not marked.any()
+            assert not sampler.marked.any()
 
     def test_split_bucket_holds_accepted_and_rejected_nodes(self):
         """Node 1's tiny mass puts it in the bucket at CDF 1/2 beside node 2.
@@ -371,14 +369,13 @@ class TestSampling:
         land on node 2, are searched and dropped."""
         p = np.array([0.5, 1e-9, 0.5 - 1e-9])
         accepts = np.array([False, True, False])
-        sampler = OfferSampler(p, 2000)
-        marked = sampler.classify(accepts)
+        sampler = OfferSampler(p, accepts)
         shared = sampler._buckets // 2
-        assert np.flatnonzero(marked).tolist() == [shared]
+        assert np.flatnonzero(sampler.marked).tolist() == [shared]
         uniforms = np.random.default_rng(0).random(2001)
         assert ((uniforms[:2000] * sampler._buckets).astype(int) == shared).any()
         rng = np.random.default_rng(0)
-        where, node = sampler.accepted(rng, 2000, accepts, marked)
+        where, node = sampler.accepted(rng, 2000)
         assert where.size == node.size == 0
         assert rng.random() == uniforms[2000]  # same stream consumed
 

@@ -58,6 +58,17 @@ class TestKnownPrograms:
         res = solve_lp([-1.0])  # min -x, x >= 0, nothing else
         assert res.status == "unbounded"
 
+    def test_ray_beside_rows_and_a_box_stays_unbounded(self):
+        # min -x0 subject to x0 - x1 <= 1, x1 free, x2 in [0, 1]: the ray
+        # x0 = x1 = t checks out against the row and both bounds
+        res = solve_lp(
+            [-1.0, 0.0, 0.0],
+            a_ub=[[1.0, -1.0, 0.0]],
+            b_ub=[1.0],
+            bounds=[(0.0, None), (None, None), (0.0, 1.0)],
+        )
+        assert res.status == "unbounded"
+
     def test_free_variable(self):
         res = solve_lp([1.0], a_ub=[[-1.0]], b_ub=[5.0], bounds=[(None, None)])
         assert res.ok and res.fun == pytest.approx(-5.0)
