@@ -50,11 +50,18 @@ class DominanceResult:
     minimum of the expectation gap over the normalized class section, or
     0.0, the gap of U = 0, for a closed form or a coupling.  On every
     ``fails`` it is the witness's gap, recomputed by direct summation; for a
-    closed-form or LP witness that is the minimum up to rounding.  A convex
-    ``fails`` from a cone LP that ended non-optimal carries the screen's
-    normalised linear witness, whose gap is not the minimum, and ``reason``
-    names the LP status.  On ``inconclusive`` it is the minimum that could
-    not be certified, or None when the LP ended non-optimal.
+    closed-form or LP witness that is the minimum up to rounding.  On
+    ``inconclusive`` it is the minimum that could not be certified, or None
+    when no LP ended optimal.
+
+    ``reason`` is None on an answer from an optimal first LP.  When the
+    cone LP ended non-optimal it names that status.  A convex ``fails``
+    may then carry the screen's normalised linear witness, whose gap is not
+    the minimum (``LP status: numerical; linear witness``).  Any other
+    answer comes from the relaxed re-solve, whose rows sit at most
+    ``MEMBERSHIP_TOL / 5`` outside the cone (``LP status: iteration_limit;
+    relaxed LP status: optimal``).  Its ``dominates`` minimum is then the
+    relaxed one, a lower bound on the true minimum.
     """
 
     verdict: str
@@ -89,7 +96,13 @@ def dominates(f: Pmf, g: Pmf, function_class: FunctionClass) -> DominanceResult:
     LP (``_cone_lp``); a convex one whose moment fails the screen and
     whose LP ends non-optimal falls back to the linear U on the axis of
     largest ``|moment| / span``, certified by direct summation and
-    ``is_member``.  On ``fails`` the minimiser is the witness, its gap is
+    ``is_member``.  Any other LP that ends non-optimal is solved once more
+    with its cone rows pushed outward (``_cone_lp(..., relaxed=True)``).
+    The relaxed minimum bounds the true one from below, so one of at least
+    ``-MEMBERSHIP_TOL`` is ``dominates``; below it, the relaxed point is
+    the witness.  Every answer after a non-optimal LP carries ``reason``
+    naming the LP status, then the relaxed LP status or ``linear
+    witness``.  On ``fails`` the minimiser is the witness, its gap is
     recomputed by direct summation, and it is re-verified as a class
     member: an LP witness by the LP's own point on every row of the cone it
     solved, and by ``is_member`` only where one of those rows falls below
@@ -98,7 +111,7 @@ def dominates(f: Pmf, g: Pmf, function_class: FunctionClass) -> DominanceResult:
     grid, fe, ge = common_grid(f, g)
     gap = fe.mass_array - ge.mass_array
     closed_form = _CLOSED_FORMS.get(function_class) if grid.ndim <= 2 else None
-    member = False
+    member, reason = False, None
     if closed_form is not None:
         optimum, values = closed_form(gap.reshape(-1, grid.shape[-1]))
         if optimum >= -MEMBERSHIP_TOL:
@@ -129,10 +142,16 @@ def dominates(f: Pmf, g: Pmf, function_class: FunctionClass) -> DominanceResult:
                 recomputed = expectation(fe, witness) - expectation(ge, witness)
                 if recomputed < -MEMBERSHIP_TOL and is_member(witness, function_class):
                     return DominanceResult("fails", recomputed, witness, f"{reason}; linear witness")
-            return DominanceResult("inconclusive", None, None, reason=reason)
+            # the relaxed cone holds the true one: its minimum bounds the
+            # true minimum from below, and its point is certified below
+            # like any LP witness
+            res, cone = _cone_lp(grid, gap, function_class, relaxed=True)
+            reason += f"; relaxed LP status: {res.status}"
+            if not res.ok:
+                return DominanceResult("inconclusive", None, None, reason=reason)
         optimum, values = res.fun, res.x[: grid.size]
         if optimum >= -MEMBERSHIP_TOL:
-            return DominanceResult("dominates", optimum, None)
+            return DominanceResult("dominates", optimum, None, reason)
         # the LP's point: the witness's values, then any convex subgradients
         member = bool((cone.margins(res.x) >= -MEMBERSHIP_TOL).all())
     # certify the counterexample before reporting a failure: the witness must
@@ -140,15 +159,16 @@ def dominates(f: Pmf, g: Pmf, function_class: FunctionClass) -> DominanceResult:
     # must genuinely fall below -MEMBERSHIP_TOL
     witness = tabulate(grid, values)
     recomputed = expectation(fe, witness) - expectation(ge, witness)
+    stalled = f"{reason}; " if reason else ""
     if recomputed >= -MEMBERSHIP_TOL:
         return DominanceResult(
-            "inconclusive", optimum, None, reason="LP minimum not confirmed by direct summation"
+            "inconclusive", optimum, None, f"{stalled}LP minimum not confirmed by direct summation"
         )
     if not (member or is_member(witness, function_class)):
         return DominanceResult(
-            "inconclusive", optimum, None, reason="LP witness failed class re-verification"
+            "inconclusive", optimum, None, f"{stalled}LP witness failed class re-verification"
         )
-    return DominanceResult("fails", recomputed, witness)
+    return DominanceResult("fails", recomputed, witness, reason)
 
 
 def _martingale_coupling(grid: Grid, gap: np.ndarray) -> bool:
@@ -205,7 +225,7 @@ def _martingale_coupling(grid: Grid, gap: np.ndarray) -> bool:
 
 
 def _cone_lp(
-    grid: Grid, gap: np.ndarray, function_class: FunctionClass
+    grid: Grid, gap: np.ndarray, function_class: FunctionClass, relaxed: bool = False
 ) -> tuple[LpResult, ConeMatrix]:
     """Minimize ``gap . U`` over the class cone within ``0 <= U <= 1``; the
     solve and the cone it read.
@@ -215,10 +235,17 @@ def _cone_lp(
     them in ``x``.  ``simplex.tableau_shape`` sizes the tableau from
     ``cone_size``'s counts before any bound is listed or the cone is
     built, and one past the solver's cap raises ``ValueError`` there.
+
+    ``relaxed`` pushes cone row ``i`` of ``rows`` outward, to ``row >=
+    -MEMBERSHIP_TOL / 10 * (1 + i / rows)``: fixed and deterministic, and
+    no basic value of the starting basis is 0.  The relaxed program holds
+    the true one, so its minimum bounds the true minimum from below; its
+    point asks each cone row for a slack of at least ``-MEMBERSHIP_TOL /
+    5``, within the tolerance that certifies an LP witness.
     """
     n = grid.size
     n_rows, _, n_vars = cone_size(grid.shape, function_class)
-    # b_ub = 0 and every offset is 0, so no row is flipped
+    # b_ub >= 0 and every offset is 0, so no row is flipped
     tableau_shape(n_rows, 0, n_vars, n_free=n_vars - n, n_box=n)
     bounds = [(0.0, 1.0)] * n + [(None, None)] * (n_vars - n)
 
@@ -227,7 +254,8 @@ def _cone_lp(
     # cone row >= 0 becomes -row <= 0; padding subtracts zeros
     np.subtract.at(a_ub, (np.arange(len(cone))[:, None], cone.idx), cone.coeff)
     c = np.concatenate([gap, np.zeros(n_vars - n)])
-    return solve_lp(c, a_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), bounds=bounds), cone
+    b_ub = MEMBERSHIP_TOL / 10 * (1 + np.arange(n_rows) / n_rows) if relaxed else np.zeros(n_rows)
+    return solve_lp(c, a_ub=a_ub, b_ub=b_ub, bounds=bounds), cone
 
 
 def _orthant_minimum(gap: np.ndarray) -> tuple[float, np.ndarray]:

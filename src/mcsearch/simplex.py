@@ -140,8 +140,10 @@ def solve_lp(
     """Minimize ``c @ x`` subject to ``a_ub @ x <= b_ub``, ``a_eq @ x == b_eq``
     and per-variable bounds.
 
-    ``bounds`` entries are (lo, hi) with None for unbounded; the default is
-    (0, None) for every variable, matching the usual LP convention.
+    ``bounds`` entries are (lo, hi) with None (or an infinity) for
+    unbounded; the default is (0, None) for every variable, matching the
+    usual LP convention.  A non-finite entry of ``c``, ``a_ub``, ``b_ub``,
+    ``a_eq`` or ``b_eq``, or a NaN bound, raises ``ValueError``.
 
     Standard form: columns ``y >= 0`` for the variables in order (``x = lo
     + y``, ``x = hi - y`` for an upper-only bound, ``x = y+ - y-`` for a
@@ -159,6 +161,9 @@ def solve_lp(
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
     if a_ub.shape[0] != b_ub.size or a_eq.shape[0] != b_eq.size:
         raise ValueError("constraint matrix / rhs length mismatch")
+    for name, data in (("c", c), ("a_ub", a_ub), ("b_ub", b_ub), ("a_eq", a_eq), ("b_eq", b_eq)):
+        if not np.isfinite(data).all():
+            raise ValueError(f"{name} must be finite")
     if bounds is None:
         lo, hi = np.zeros(n), np.full(n, np.inf)
     elif len(bounds) != n:
@@ -166,6 +171,8 @@ def solve_lp(
     else:
         lo = np.array([-np.inf if v is None else v for v, _ in bounds], dtype=float)
         hi = np.array([np.inf if v is None else v for _, v in bounds], dtype=float)
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ValueError("bounds must not be NaN")
         empty = hi < lo
         if empty.any():
             j = int(empty.argmax())

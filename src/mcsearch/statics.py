@@ -244,9 +244,10 @@ def generate_case(
     """Deterministically generate one premise-true case from (seed, index).
 
     G is a Dirichlet-random pmf, F applies the theorem's constructive
-    transfer, and the utility is a verified random member of the theorem's
-    class; beta and gamma are drawn from moderate ranges.  A shape whose
-    class cone ``check_cone`` refuses raises before the grid is drawn.
+    transfer, and the utility is a random member of the theorem's class by
+    construction, which ``verify_theorem`` certifies; beta and gamma are
+    drawn from moderate ranges.  A shape whose class cone ``check_cone``
+    refuses raises before the grid is drawn.
     """
     function_class = _theorem_class(theorem_id)
     check_cone(grid_shape, function_class)
@@ -362,10 +363,12 @@ def closure_check(
     samples: int,
     seed: int,
 ) -> ClosureReport:
-    """Apply an operator to verified random class members and re-test.
+    """Apply an operator to random class members and re-test.
 
-    Operators: ``truncate`` (max with 0), ``affine`` (random m > 0, n >= 0),
-    ``clamp`` (max with a random nonnegative level).
+    Each draw is certified by ``is_member`` before the operator is applied;
+    one that fails raises ``RuntimeError`` naming its sample.  Operators:
+    ``truncate`` (max with 0), ``affine`` (random m > 0, n >= 0), ``clamp``
+    (max with a random nonnegative level).
     """
     if operator not in _OPERATORS:
         raise ValueError(f"unknown operator {operator!r}; choose one of {', '.join(_OPERATORS)}")
@@ -379,6 +382,8 @@ def closure_check(
         shape = tuple(int(rng.integers(2, 5)) for _ in range(ndim))
         grid = _random_grid(rng, shape)
         member = random_member(function_class, grid, rng)
+        if not is_member(member, function_class):
+            raise RuntimeError(f"sample {i}: the drawn {function_class.value} member failed is_member")
         result = is_member(_OPERATORS[operator](member, rng), function_class)
         if result.member:
             preserved += 1

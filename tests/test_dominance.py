@@ -33,6 +33,7 @@ from cone_oracle import (
     CLOSED_FORM_CLASSES,
     builds_cone_lp,
     dominates_increasing_bruteforce,
+    oracle_a_ub,
     oracle_convex_program,
 )
 from conftest import random_grid, random_pmf
@@ -426,13 +427,16 @@ class TestInconclusive:
         stalled = LpResult("iteration_limit", None, None)
         monkeypatch.setattr(dominance_module, "solve_lp", lambda *a, **k: stalled)
         res = dominates(*pair, FC.INCREASING_ULTRAMODULAR)
-        assert res == DominanceResult("inconclusive", None, None, "LP status: iteration_limit")
+        assert res == DominanceResult(
+            "inconclusive", None, None, "LP status: iteration_limit; relaxed LP status: iteration_limit"
+        )
         assert not res
 
     def test_failed_convex_lp_fails_on_the_linear_witness(self, pair, monkeypatch):
         """The pair's first moment fails the convex screen, so a stalled
         cone LP still leaves U = x / 2, certified like any witness; one
-        that does not re-verify leaves the LP's status."""
+        that does not re-verify goes on to the relaxed LP, and names both
+        statuses."""
         stalled = LpResult("iteration_limit", None, None)
         monkeypatch.setattr(dominance_module, "solve_lp", lambda *a, **k: stalled)
         res = dominates(*pair, FC.CONVEX)
@@ -442,7 +446,7 @@ class TestInconclusive:
         rejected = MembershipResult(False, FC.CONVEX, None)
         monkeypatch.setattr(dominance_module, "is_member", lambda u, fc: rejected)
         assert dominates(*pair, FC.CONVEX) == DominanceResult(
-            "inconclusive", None, None, "LP status: iteration_limit"
+            "inconclusive", None, None, "LP status: iteration_limit; relaxed LP status: iteration_limit"
         )
 
     def test_numerical_convex_lp_fails_on_the_linear_witness(self):
@@ -525,6 +529,65 @@ class TestInconclusive:
         assert res == DominanceResult(
             "inconclusive", -0.25, None, "LP witness failed class re-verification"
         )
+
+
+class TestRelaxedConeLp:
+    """A cone LP that ends non-optimal is solved once more with every cone
+    row pushed outward by at most ``MEMBERSHIP_TOL / 5``, which ends the
+    degenerate stall of its b = 0 start."""
+
+    @pytest.mark.parametrize(
+        "seed,shape,swap,status",
+        [(144, (4, 4), True, "iteration_limit"), (9, (3, 3, 3), False, "numerical")],
+    )
+    def test_stalled_convex_pair_fails_on_the_relaxed_witness(self, seed, shape, swap, status):
+        """Both pairs have zero first moment, so no linear witness exists,
+        and both came back ``inconclusive`` before the relaxed re-solve."""
+        rng = np.random.default_rng(seed)
+        grid = random_grid(rng, shape)
+        f, g = _mean_matched_pair(rng, grid)
+        if swap:
+            f, g = g, f
+        res = dominates(f, g, FC.CONVEX)
+        assert (res.verdict, res.reason) == ("fails", f"LP status: {status}; relaxed LP status: optimal")
+        assert res.lp_optimum == expectation(f, res.witness) - expectation(g, res.witness)
+        assert res.lp_optimum == pytest.approx(_convex_minimum_highs(grid, f.mass_array - g.mass_array), abs=1e-9)
+        assert is_member(res.witness, FC.CONVEX).member
+
+    @pytest.mark.parametrize("theorem_id,case_id", [("T4", 0), ("T2c", 2)])
+    def test_relaxed_lp_on_the_15x15_stalls(self, theorem_id, case_id):
+        """Reversed, these pairs end ``numerical`` and ``iteration_limit``
+        after 8,474 and 74,750 pivots; relaxed, each ends ``optimal`` at
+        the HiGHS minimum with a member point.  Forward, each relaxed
+        minimum is within the tolerance, so the pair dominates."""
+        case = generate_case(theorem_id, case_id, 3, (15, 15))
+        fc, grid = case.function_class, case.f.grid
+        gap = case.g.mass_array - case.f.mass_array
+        res, cone = dominance_module._cone_lp(grid, gap, fc, relaxed=True)
+        ref = linprog(gap, A_ub=oracle_a_ub(grid, fc), b_ub=np.zeros(len(cone)), bounds=[(0, 1)] * grid.size)
+        assert res.ok and ref.status == 0
+        assert res.fun == pytest.approx(ref.fun, abs=1e-9)
+        assert is_member(tabulate(grid, res.x), fc).member
+        forward, _ = dominance_module._cone_lp(grid, -gap, fc, relaxed=True)
+        assert forward.ok and forward.fun >= -MEMBERSHIP_TOL
+
+    def test_relaxed_minimum_certifies_dominates(self, monkeypatch):
+        """A dominating pair whose first LP stalls: the relaxed minimum
+        bounds the true one from below, so it certifies ``dominates``."""
+        case = generate_case("T3", 0, 1, (3, 3, 3))
+        cone_lp, solved = dominance_module._cone_lp, []
+
+        def stalled_first(grid, gap, fc, relaxed=False):
+            res, cone = cone_lp(grid, gap, fc, relaxed)
+            solved.append((relaxed, res.status))
+            return (res if relaxed else LpResult("iteration_limit", None, None)), cone
+
+        monkeypatch.setattr(dominance_module, "_cone_lp", stalled_first)
+        res = dominates(case.f, case.g, FC.INCREASING_SUPERMODULAR)
+        assert solved == [(False, "optimal"), (True, "optimal")]
+        assert (res.verdict, res.witness) == ("dominates", None)
+        assert res.reason == "LP status: iteration_limit; relaxed LP status: optimal"
+        assert res.lp_optimum >= -MEMBERSHIP_TOL
 
 
 #: 1-D grids and 2-D grids from 1x2 to 8x8.

@@ -313,6 +313,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="one bounds pair"):
             solve_lp([1.0, 1.0], bounds=[(0.0, None)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs(self, bad):
+        """``b_ub = [nan]`` once came back ``optimal``, since the final
+        feasibility check compares with ``>``, which is false for NaN."""
+        program = dict(c=[1.0], a_ub=[[1.0]], b_ub=[1.0], a_eq=[[1.0]], b_eq=[0.5])
+        for name in program:
+            broken = dict(program)
+            broken[name] = np.full(np.shape(program[name]), bad)
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                solve_lp(**broken)
+        if np.isnan(bad):
+            for pair in [(bad, 1.0), (0.0, bad)]:
+                with pytest.raises(ValueError, match="^bounds must not be NaN$"):
+                    solve_lp([1.0], bounds=[pair])
+        # infinite and None bounds stay legal
+        for pair in [(-np.inf, np.inf), (None, None), (0.0, np.inf)]:
+            assert solve_lp([0.0], a_eq=[[1.0]], b_eq=[0.5], bounds=[pair]).x.tolist() == [0.5]
+
     def test_tableau_guard_counts_the_tableau_not_the_inputs(self):
         # tiny inputs, but 6,000 range rows with 6,000 slacks
         start = time.perf_counter()

@@ -6,6 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import mcsearch.dominance as dominance_module
 import mcsearch.statics as statics_module
 import mcsearch.utility as utility_module
 from mcsearch import (
@@ -32,6 +33,7 @@ from mcsearch.cli import _suite_rows
 from mcsearch.report import fmt_value
 from mcsearch.simplex import LpResult
 from mcsearch.statics import NOT_CLOSED, THEOREM_CLASS
+from mcsearch.utility import MembershipResult
 
 ALL_THEOREMS = list(THEOREM_CLASS)
 
@@ -196,6 +198,25 @@ class TestSuites:
                     digest.update(f"{line}\n".encode())
         assert digest.hexdigest() == SUITE_ROWS_DIGEST
 
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 3, 3)])
+    def test_each_case_decides_membership_once(self, shape, monkeypatch):
+        """A generated utility is a member by construction, and only the
+        membership premise certifies it: one ``is_member`` call per case."""
+        calls = []
+
+        def counting(u, fc):
+            calls.append(fc)
+            return is_member(u, fc)
+
+        for module in (utility_module, statics_module, dominance_module):
+            monkeypatch.setattr(module, "is_member", counting)
+        for theorem in ALL_THEOREMS:
+            config = SuiteConfig(theorem, 4, seed=1, grid_shape=shape)
+            for case_id in range(config.n_cases):
+                calls.clear()
+                assert replay_case(config, case_id).report.status == "pass"
+                assert calls == [THEOREM_CLASS[theorem]], (theorem, case_id)
+
     def test_empty_suite(self):
         report = run_suite(SuiteConfig("T2a", 0, seed=0))
         assert report.records == ()
@@ -328,6 +349,19 @@ class TestClosure:
         rep = closure_check(FunctionClass.ULTRAMODULAR, "clamp", 4, seed=5)
         assert rep.expects_violation and rep.passed
         assert (FunctionClass.ULTRAMODULAR, "clamp") in NOT_CLOSED
+
+    def test_a_draw_that_is_not_a_member_raises(self, monkeypatch):
+        """Each draw is certified before its operator is applied: here the
+        second sample's draw is rejected."""
+        verdicts = iter([True, True, False])
+
+        def second_draw_rejected(u, fc):
+            return MembershipResult(next(verdicts), fc, None)
+
+        monkeypatch.setattr(statics_module, "is_member", second_draw_rejected)
+        message = "^sample 1: the drawn increasing member failed is_member$"
+        with pytest.raises(RuntimeError, match=message):
+            closure_check(FunctionClass.INCREASING, "truncate", 3, seed=0)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="operator"):

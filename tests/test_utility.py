@@ -19,7 +19,6 @@ from mcsearch import (
     truncate,
 )
 from mcsearch.simplex import LpResult, solve_lp
-from mcsearch.utility import RANDOM_MEMBER_TRIES, MembershipResult
 from mcsearch.statics import _random_grid
 from cone_oracle import oracle_convex_membership
 from conftest import random_grid
@@ -362,25 +361,6 @@ class TestRandomMembers:
             u = random_member(fc, random_grid(rng, shape), rng)
             assert is_member(u, fc).member
 
-    def test_all_zero_candidate_is_redrawn(self, unit_square, monkeypatch):
-        draws = iter([np.zeros(4), np.array([0.0, 1.0, 1.0, 2.0])])
-        monkeypatch.setattr(utility_module, "_random_values", lambda fc, grid, rng: next(draws))
-        u = random_member(FunctionClass.INCREASING, unit_square, np.random.default_rng(0))
-        assert u.values == (0.0, 2.5, 2.5, 5.0)
-
-    def test_gives_up_after_its_tries(self, unit_square, monkeypatch):
-        checked = []
-
-        def rejecting(u, fc):
-            checked.append(u)
-            return MembershipResult(False, fc, None)
-
-        monkeypatch.setattr(utility_module, "is_member", rejecting)
-        message = f"^could not construct a verified increasing member in {RANDOM_MEMBER_TRIES} tries$"
-        with pytest.raises(RuntimeError, match=message):
-            random_member(FunctionClass.INCREASING, unit_square, np.random.default_rng(0))
-        assert len(checked) == RANDOM_MEMBER_TRIES
-
     def test_deterministic_given_rng_state(self, unit_square):
         a = random_member(FunctionClass.INCREASING, unit_square, np.random.default_rng(5))
         b = random_member(FunctionClass.INCREASING, unit_square, np.random.default_rng(5))
@@ -400,8 +380,6 @@ class TestConeGuard:
         message = r"convex cone would be 12956400 x 4 = 51825600 entries \(guard 33554432\)"
         with pytest.raises(ValueError, match=message):
             is_member(tabulate(grid, np.zeros(grid.size)), FunctionClass.CONVEX)
-        with pytest.raises(ValueError, match=message):
-            random_member(FunctionClass.CONVEX, grid, np.random.default_rng(0))
 
     def test_convex_membership_holds_three_index_blocks(self):
         """A cold-cache convex ``is_member`` on a 30x30 grid peaks at three
