@@ -143,7 +143,8 @@ def solve_lp(
     ``bounds`` entries are (lo, hi) with None (or an infinity) for
     unbounded; the default is (0, None) for every variable, matching the
     usual LP convention.  A non-finite entry of ``c``, ``a_ub``, ``b_ub``,
-    ``a_eq`` or ``b_eq``, or a NaN bound, raises ``ValueError``.
+    ``a_eq`` or ``b_eq``, a NaN bound, or a pair that no finite x meets
+    (``hi < lo``, ``lo = +inf`` or ``hi = -inf``) raises ``ValueError``.
 
     Standard form: columns ``y >= 0`` for the variables in order (``x = lo
     + y``, ``x = hi - y`` for an upper-only bound, ``x = y+ - y-`` for a
@@ -173,7 +174,7 @@ def solve_lp(
         hi = np.array([np.inf if v is None else v for _, v in bounds], dtype=float)
         if np.isnan(lo).any() or np.isnan(hi).any():
             raise ValueError("bounds must not be NaN")
-        empty = hi < lo
+        empty = (hi < lo) | (lo == np.inf) | (hi == -np.inf)
         if empty.any():
             j = int(empty.argmax())
             raise ValueError(f"bounds for variable {j} are empty: ({lo[j]}, {hi[j]})")

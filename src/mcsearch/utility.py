@@ -36,7 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -367,33 +367,14 @@ class MembershipResult:
         return self.member
 
 
-def _difference_quotients(u: TabulatedUtility) -> Iterator[tuple[np.ndarray, ...]]:
-    """Candidate subgradients, each one (n, K) array: on every axis, the
-    forward or the backward difference quotient at each node (the one that
-    exists at an end of the axis, 0 on an axis of length 1), in every
-    combination over the axes."""
-    grid = u.grid
-    values = u.values_array.reshape(grid.shape)
-    options = []
-    for k, axis in enumerate(grid.axes):
-        if len(axis) == 1:
-            options.append((np.zeros(grid.size),))
-            continue
-        shape = [1] * grid.ndim
-        shape[k] = -1
-        slopes = np.diff(values, axis=k) / np.diff(axis).reshape(shape)
-        first, last = np.take(slopes, [0], axis=k), np.take(slopes, [-1], axis=k)
-        forward = np.concatenate([slopes, last], axis=k).reshape(-1)
-        backward = np.concatenate([first, slopes], axis=k).reshape(-1)
-        options.append((forward, backward))
-    return itertools.product(*options)
-
-
 def _convex_membership(u: TabulatedUtility) -> MembershipResult:
     """Certify every node by a subgradient checked on its own rows of the
-    cone: the one-sided difference quotients on every axis (2^K
-    combinations), then, in rounds until one certifies none, a certified
-    neighbour's, one axis and direction at a time (a kink node of a
+    cone.  The increasing cone's rows are the grid's edges; on each axis
+    they give the difference quotients, offered first as the forward field
+    and then as the backward one (at an end of an axis, the quotient that
+    exists; 0 on an axis of one node).  Then, in rounds until one certifies
+    none, each uncertified node is offered a certified neighbour's
+    subgradient, one axis and direction at a time (a kink node of a
     max-affine U shares a piece with a neighbour).  Only then does the
     first node still uncertified solve its LP, whose optimum above the
     tolerance is the witness; else its subgradient is held and the rounds
@@ -402,7 +383,7 @@ def _convex_membership(u: TabulatedUtility) -> MembershipResult:
     grid = u.grid
     n, k = grid.size, grid.ndim
     cone = local_rows(grid, FunctionClass.CONVEX)
-    vals = u.values_array
+    vals, x = u.values_array, grid.nodes
     held = np.zeros((n, k))
     certified = np.zeros(n, dtype=bool)
 
@@ -420,28 +401,36 @@ def _convex_membership(u: TabulatedUtility) -> MembershipResult:
         held[nodes[hit]] = g[hit]
         return bool(hit.any())
 
-    for choice in _difference_quotients(u):
-        rest = np.flatnonzero(~certified)
-        if not rest.size:
-            break
-        offer(rest, np.stack(choice, axis=1)[rest])
-    # the increasing cone's rows (upper, lower) pair the grid neighbours,
-    # an axis's one stride apart; axes of one node share a stride, not rows
+    # the increasing cone's rows (upper, lower) are the grid's edges, an
+    # axis's one stride apart; an axis of one node has none
     upper, lower = _cone_index(grid.shape, FunctionClass.INCREASING)[0].T
+    forward, backward = np.zeros((n, k)), np.zeros((n, k))
     neighbours = []
-    for stride in sorted({math.prod(grid.shape[a + 1 :]) for a in range(k)}, reverse=True):
-        on = upper - lower == stride
-        neighbours += [(lower[on], upper[on]), (upper[on], lower[on])]
+    for a, extent in enumerate(grid.shape):
+        if extent == 1:
+            continue
+        on = upper - lower == math.prod(grid.shape[a + 1 :])
+        lo, up = lower[on], upper[on]
+        slope = (vals[up] - vals[lo]) / (x[up, a] - x[lo, a])
+        # each field takes every edge's slope at both its nodes, its own
+        # side's last: a node with no edge on that side keeps the other's
+        forward[up, a] = backward[lo, a] = slope
+        forward[lo, a] = backward[up, a] = slope
+        neighbours += [(lo, up), (up, lo)]
+    for field in (forward, backward):
+        rest = np.flatnonzero(~certified)
+        if rest.size:
+            offer(rest, field[rest])
     while True:
         # nodes in one affine piece share a subgradient: pass each held one
         # to the uncertified neighbours, axis by axis, until none takes it
-        grew = True
-        while grew:
-            grew = False
-            for node, other in neighbours:
-                open_ = ~certified[node] & certified[other]
-                if open_.any():
-                    grew |= offer(node[open_], held[other[open_]])
+        grew = False
+        for node, other in neighbours:
+            open_ = ~certified[node] & certified[other]
+            if open_.any():
+                grew |= offer(node[open_], held[other[open_]])
+        if grew:
+            continue
         rest = np.flatnonzero(~certified)
         if not rest.size:
             return MembershipResult(True, FunctionClass.CONVEX, None)

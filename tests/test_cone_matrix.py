@@ -211,7 +211,7 @@ class TestConeMatrix:
             st.one_of(
                 st.tuples(st.integers(1, 8)),
                 st.tuples(st.integers(1, 5), st.integers(1, 5)),
-                st.sampled_from([(3, 3, 3), (2, 2, 2, 2)]),
+                st.sampled_from([(3, 3, 3), (3, 1, 3), (2, 2, 2, 2)]),
             )
         ),
         noise=st.sampled_from([0.0, 1e-9, 1e-4, None]),

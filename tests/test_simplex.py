@@ -305,9 +305,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             solve_lp([1.0], a_ub=[[1.0, 2.0]], b_ub=[1.0])
 
-    def test_bad_bounds(self):
-        with pytest.raises(ValueError, match="bounds"):
-            solve_lp([1.0], bounds=[(2.0, 1.0)])
+    @pytest.mark.parametrize(
+        "pair",
+        [(2.0, 1.0), (np.inf, np.inf), (np.inf, None), (None, -np.inf), (-np.inf, -np.inf)],
+        ids=["hi_below_lo", "both_plus_inf", "lo_plus_inf", "hi_minus_inf", "both_minus_inf"],
+    )
+    def test_bad_bounds(self, pair):
+        """A pair that no finite x meets: ``(inf, inf)`` and ``(inf, None)``
+        once came back ``optimal`` with ``x = [inf]``, ``(None, -inf)`` and
+        ``(-inf, -inf)`` ``unbounded``."""
+        with pytest.raises(ValueError, match="^bounds for variable 0 are empty"):
+            solve_lp([1.0], bounds=[pair])
 
     def test_bounds_length(self):
         with pytest.raises(ValueError, match="one bounds pair"):

@@ -202,7 +202,17 @@ class TestConvexMembership:
                 for j in range(grid.size)
             )
 
-        fields = [np.stack(c, axis=1) for c in utility_module._difference_quotients(u)]
+        # the forward and the backward difference-quotient fields, each
+        # end of an axis taking the one quotient it has
+        grid_vals = vals.reshape(grid.shape)
+        forward, backward = [], []
+        for k, axis in enumerate(grid.axes):
+            spacing = np.diff(axis).reshape([-1 if a == k else 1 for a in range(grid.ndim)])
+            slopes = np.diff(grid_vals, axis=k) / spacing
+            first, last = np.take(slopes, [0], axis=k), np.take(slopes, [-1], axis=k)
+            forward.append(np.concatenate([slopes, last], axis=k).reshape(-1))
+            backward.append(np.concatenate([first, slopes], axis=k).reshape(-1))
+        fields = [np.stack(forward, axis=1), np.stack(backward, axis=1)]
         uncertified = [i for i in range(grid.size) if not any(supports(i, g[i]) for g in fields)]
         assert len(uncertified) == 3
         with mock.patch.object(utility_module, "solve_lp", wraps=utility_module.solve_lp) as lp:
@@ -250,6 +260,17 @@ class TestConvexMembership:
         with mock.patch.object(utility_module, "solve_lp", wraps=utility_module.solve_lp) as lp:
             assert all(is_member(u, FunctionClass.CONVEX).member for u in members)
         assert lp.call_count <= 16
+
+    def test_random_4d_members_need_few_lps(self):
+        """30 random convex members on 2x2x2x2, where every node is an end
+        of all four axes, solve at most 39 LPs in all."""
+        members = []
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            members.append(random_member(FunctionClass.CONVEX, _random_grid(rng, (2, 2, 2, 2)), rng))
+        with mock.patch.object(utility_module, "solve_lp", wraps=utility_module.solve_lp) as lp:
+            assert all(is_member(u, FunctionClass.CONVEX).member for u in members)
+        assert lp.call_count <= 39
 
     def test_offers_keep_the_verdict_of_one_lp_per_node(self):
         """Candidates checked on their nodes' rows of the shared cone give
