@@ -19,6 +19,9 @@ dominated / comparison distribution.  Flags override file values and the
 effective configuration is echoed in every report header.  Each subcommand
 accepts only the override flags it reads (``_COMMANDS``), plus ``--out`` and
 ``--format``; any other flag, or ``--format`` without ``--out``, exits 2.
+``verify`` reads ``--seed`` only on a generated suite and ``--beta``,
+``--gamma`` and ``--tol`` only on a single case; the other mode's flags exit
+2 as well.
 
 JSON booleans are rejected wherever a number is expected (``params``,
 ``options.threshold``, masses, axes and utility coefficients).
@@ -388,8 +391,13 @@ def _cmd_verify(s: Scenario, args: argparse.Namespace) -> tuple[Report, int]:
             "scenario.options.cases: give either explicit pmfs (single case) or "
             "cases (generated suite), not both"
         )
+    suite = s.options.cases is not None
+    mode, unread = ("generated suite", ("beta", "gamma", "tol")) if suite else ("single case", ("seed",))
+    for flag in unread:
+        if getattr(args, flag) is not None:
+            raise ScenarioError(f"--{flag} is not read by a {mode}")
 
-    if s.options.cases is not None:
+    if suite:
         config = SuiteConfig(theorem, s.options.cases, s.options.seed, s.options.grid_shape)
         suite = run_suite(config)
         header = _header(

@@ -45,7 +45,8 @@ class DominanceResult:
 
     verdict is ``dominates``, ``fails`` or ``inconclusive``, and
     ``witness`` (present exactly when the verdict is ``fails``) is a class
-    member whose expectation gap is below ``-MEMBERSHIP_TOL``.
+    member whose expectation gap is below ``-MEMBERSHIP_TOL``, both checked
+    alike for every witness, closed-form, linear or LP.
     ``lp_optimum`` depends on the verdict.  On ``dominates`` it is the LP
     minimum of the expectation gap over the normalized class section, or
     0.0, the gap of U = 0, for a closed form or a coupling.  On every
@@ -61,7 +62,8 @@ class DominanceResult:
     answer comes from the relaxed re-solve, whose rows sit at most
     ``MEMBERSHIP_TOL / 5`` outside the cone (``LP status: iteration_limit;
     relaxed LP status: optimal``).  Its ``dominates`` minimum is then the
-    relaxed one, a lower bound on the true minimum.
+    relaxed one, a lower bound on the true minimum.  A witness that fails
+    the check is ``inconclusive``, its reason saying "LP" on every route.
     """
 
     verdict: str
@@ -102,73 +104,71 @@ def dominates(f: Pmf, g: Pmf, function_class: FunctionClass) -> DominanceResult:
     ``-MEMBERSHIP_TOL`` is ``dominates``; below it, the relaxed point is
     the witness.  Every answer after a non-optimal LP carries ``reason``
     naming the LP status, then the relaxed LP status or ``linear
-    witness``.  On ``fails`` the minimiser is the witness, its gap is
-    recomputed by direct summation, and it is re-verified as a class
-    member: an LP witness by the LP's own point on every row of the cone it
-    solved, and by ``is_member`` only where one of those rows falls below
-    ``-MEMBERSHIP_TOL``; a closed-form one always.
+    witness``.  Every witness, closed-form, linear or LP, passes one check,
+    ``certify``: its gap is recomputed by direct summation, and it must
+    re-test as a class member, by ``is_member`` unless the LP's own point
+    clears every row of its cone to ``-MEMBERSHIP_TOL``.  One that fails
+    is ``inconclusive`` on one of two reasons, which say "LP" on any route.
     """
     grid, fe, ge = common_grid(f, g)
     gap = fe.mass_array - ge.mass_array
+
+    def certify(
+        values: np.ndarray, optimum: float | None, reason: str | None, member: bool
+    ) -> DominanceResult:
+        """``fails`` on ``values`` if their gap, recomputed by direct summation,
+        is below ``-MEMBERSHIP_TOL`` and they are a class member (by the LP's
+        own rows when ``member``); else ``inconclusive`` at ``optimum``."""
+        witness = tabulate(grid, values)
+        recomputed = expectation(fe, witness) - expectation(ge, witness)
+        if recomputed >= -MEMBERSHIP_TOL:
+            failure = "LP minimum not confirmed by direct summation"
+        elif not (member or is_member(witness, function_class)):
+            failure = "LP witness failed class re-verification"
+        else:
+            return DominanceResult("fails", recomputed, witness, reason)
+        return DominanceResult("inconclusive", optimum, None, f"{reason}; {failure}" if reason else failure)
+
     closed_form = _CLOSED_FORMS.get(function_class) if grid.ndim <= 2 else None
-    member, reason = False, None
     if closed_form is not None:
         optimum, values = closed_form(gap.reshape(-1, grid.shape[-1]))
         if optimum >= -MEMBERSHIP_TOL:
             return DominanceResult("dominates", 0.0, None)
-    else:
-        linear = None
-        if function_class is FunctionClass.CONVEX:
-            # a first moment past the tolerance fails on a normalised linear
-            # U, (x_k - low_k) / span_k or one minus it; taken from the low
-            # end, an axis of one node has none
-            low = np.array([axis[0] for axis in grid.axes])
-            span = np.array([axis[-1] for axis in grid.axes]) - low
-            moment = gap @ (grid.nodes - low)
-            if (np.abs(moment) <= MEMBERSHIP_TOL * span).all():
-                if _martingale_coupling(grid, gap):
-                    return DominanceResult("dominates", 0.0, None)
-            else:
-                k = int(np.argmax(np.abs(moment) / np.maximum(span, np.finfo(float).tiny)))
-                linear = (grid.nodes[:, k] - low[k]) / span[k]
-                linear = 1.0 - linear if moment[k] > 0 else linear
-        res, cone = _cone_lp(grid, gap, function_class)
+        return certify(values, optimum, None, False)
+    linear = None
+    if function_class is FunctionClass.CONVEX:
+        # a first moment past the tolerance fails on a normalised linear
+        # U, (x_k - low_k) / span_k or one minus it; taken from the low
+        # end, an axis of one node has none
+        low = np.array([axis[0] for axis in grid.axes])
+        span = np.array([axis[-1] for axis in grid.axes]) - low
+        moment = gap @ (grid.nodes - low)
+        if (np.abs(moment) <= MEMBERSHIP_TOL * span).all():
+            if _martingale_coupling(grid, gap):
+                return DominanceResult("dominates", 0.0, None)
+        else:
+            k = int(np.argmax(np.abs(moment) / np.maximum(span, np.finfo(float).tiny)))
+            linear = (grid.nodes[:, k] - low[k]) / span[k]
+            linear = 1.0 - linear if moment[k] > 0 else linear
+    res, cone = _cone_lp(grid, gap, function_class)
+    reason = None
+    if not res.ok:
+        reason = f"LP status: {res.status}"
+        if linear is not None:
+            # the screen's linear witness; one that does not certify goes on
+            answer = certify(linear, None, f"{reason}; linear witness", False)
+            if answer.verdict == "fails":
+                return answer
+        # the relaxed cone holds the true one, so its minimum is a lower bound
+        res, cone = _cone_lp(grid, gap, function_class, relaxed=True)
+        reason += f"; relaxed LP status: {res.status}"
         if not res.ok:
-            reason = f"LP status: {res.status}"
-            if linear is not None:
-                # a convex pair whose moment failed the screen still has
-                # its linear witness, certified like every other one
-                witness = tabulate(grid, linear)
-                recomputed = expectation(fe, witness) - expectation(ge, witness)
-                if recomputed < -MEMBERSHIP_TOL and is_member(witness, function_class):
-                    return DominanceResult("fails", recomputed, witness, f"{reason}; linear witness")
-            # the relaxed cone holds the true one: its minimum bounds the
-            # true minimum from below, and its point is certified below
-            # like any LP witness
-            res, cone = _cone_lp(grid, gap, function_class, relaxed=True)
-            reason += f"; relaxed LP status: {res.status}"
-            if not res.ok:
-                return DominanceResult("inconclusive", None, None, reason=reason)
-        optimum, values = res.fun, res.x[: grid.size]
-        if optimum >= -MEMBERSHIP_TOL:
-            return DominanceResult("dominates", optimum, None, reason)
-        # the LP's point: the witness's values, then any convex subgradients
-        member = bool((cone.margins(res.x) >= -MEMBERSHIP_TOL).all())
-    # certify the counterexample before reporting a failure: the witness must
-    # re-test as a class member and its gap, recomputed by direct summation,
-    # must genuinely fall below -MEMBERSHIP_TOL
-    witness = tabulate(grid, values)
-    recomputed = expectation(fe, witness) - expectation(ge, witness)
-    stalled = f"{reason}; " if reason else ""
-    if recomputed >= -MEMBERSHIP_TOL:
-        return DominanceResult(
-            "inconclusive", optimum, None, f"{stalled}LP minimum not confirmed by direct summation"
-        )
-    if not (member or is_member(witness, function_class)):
-        return DominanceResult(
-            "inconclusive", optimum, None, f"{stalled}LP witness failed class re-verification"
-        )
-    return DominanceResult("fails", recomputed, witness, reason)
+            return DominanceResult("inconclusive", None, None, reason=reason)
+    if res.fun >= -MEMBERSHIP_TOL:
+        return DominanceResult("dominates", res.fun, None, reason)
+    # the LP's point: the witness's values, then any convex subgradients
+    member = bool((cone.margins(res.x) >= -MEMBERSHIP_TOL).all())
+    return certify(res.x[: grid.size], res.fun, reason, member)
 
 
 def _martingale_coupling(grid: Grid, gap: np.ndarray) -> bool:

@@ -142,9 +142,11 @@ def solve_lp(
 
     ``bounds`` entries are (lo, hi) with None (or an infinity) for
     unbounded; the default is (0, None) for every variable, matching the
-    usual LP convention.  A non-finite entry of ``c``, ``a_ub``, ``b_ub``,
-    ``a_eq`` or ``b_eq``, a NaN bound, or a pair that no finite x meets
-    (``hi < lo``, ``lo = +inf`` or ``hi = -inf``) raises ``ValueError``.
+    usual LP convention.  A 1-D ``a_ub`` or ``a_eq`` is one row.  A 2-D
+    one with other than ``len(c)`` columns, a non-finite entry of ``c``,
+    ``a_ub``, ``b_ub``, ``a_eq`` or ``b_eq``, a NaN bound, or a pair that no
+    finite x meets (``hi < lo``, ``lo = +inf`` or ``hi = -inf``) raises
+    ``ValueError``.
 
     Standard form: columns ``y >= 0`` for the variables in order (``x = lo
     + y``, ``x = hi - y`` for an upper-only bound, ``x = y+ - y-`` for a
@@ -156,10 +158,13 @@ def solve_lp(
     """
     c = np.asarray(c, dtype=float)
     n = c.size
-    a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=float).reshape(-1, n)
+    a_ub = np.zeros((0, n)) if a_ub is None else np.atleast_2d(np.asarray(a_ub, dtype=float))
     b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).reshape(-1)
-    a_eq = np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, dtype=float).reshape(-1, n)
+    a_eq = np.zeros((0, n)) if a_eq is None else np.atleast_2d(np.asarray(a_eq, dtype=float))
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
+    for name, a in (("a_ub", a_ub), ("a_eq", a_eq)):
+        if a.ndim != 2 or a.shape[1] != n:
+            raise ValueError(f"{name} must have len(c) = {n} columns, got shape {a.shape}")
     if a_ub.shape[0] != b_ub.size or a_eq.shape[0] != b_eq.size:
         raise ValueError("constraint matrix / rhs length mismatch")
     for name, data in (("c", c), ("a_ub", a_ub), ("b_ub", b_ub), ("a_eq", a_eq), ("b_eq", b_eq)):

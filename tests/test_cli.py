@@ -280,6 +280,18 @@ class TestSubcommands:
         assert captured.out == ""
         assert f"error: unrecognized arguments: --{flag} {value}\n" in captured.err
 
+    @pytest.mark.parametrize(
+        "scenario,mode,flag",
+        [("verify_T3.json", "generated suite", f) for f in ("beta", "gamma", "tol")]
+        + [("verify_single_T3.json", "single case", "seed")],
+    )
+    def test_verify_flag_of_the_other_mode_exits_2(self, scenario, mode, flag, capsys):
+        # each once exited 0 with the stdout of the run without the flag
+        path = str(Path(__file__).resolve().parent / "data" / scenario)
+        assert run_command(["verify", path, f"--{flag}", FLAG_VALUES[flag]]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: --{flag} is not read by a {mode}\n")
+
     @pytest.mark.parametrize("command", sorted(READ_FLAGS))
     def test_format_without_out_exits_2(self, fosd_scenario, command, capsys):
         assert run_command([command, fosd_scenario, "--format", "csv"]) == 2

@@ -506,6 +506,30 @@ class TestInconclusive:
         assert res.lp_optimum == pytest.approx(-0.25, abs=1e-9)
         assert res.reason == "LP witness failed class re-verification"
 
+    @pytest.fixture
+    def increasing_fails(self):
+        # the pair of the dominate_increasing_fails golden: G puts more mass
+        # on the top node, so U = 1{x = 2} shows a gap of -0.25
+        grid = make_grid([[0.0, 1.0, 2.0]])
+        return make_pmf(grid, [0.5, 0.25, 0.25]), make_pmf(grid, [0.25, 0.25, 0.5])
+
+    def test_closed_form_witness_failing_class_reverification(self, increasing_fails, monkeypatch):
+        rejected = MembershipResult(False, FC.INCREASING, None)
+        monkeypatch.setattr(dominance_module, "is_member", lambda u, fc: rejected)
+        assert dominates(*increasing_fails, FC.INCREASING) == DominanceResult(
+            "inconclusive", -0.25, None, "LP witness failed class re-verification"
+        )
+
+    def test_closed_form_minimum_not_confirmed_by_direct_summation(self, increasing_fails, monkeypatch):
+        def claimed(gap):
+            # a claimed minimum at U = 0, whose gap summed directly is 0
+            return -0.5, np.zeros(gap.size)
+
+        monkeypatch.setitem(dominance_module._CLOSED_FORMS, FC.INCREASING, claimed)
+        assert dominates(*increasing_fails, FC.INCREASING) == DominanceResult(
+            "inconclusive", -0.5, None, "LP minimum not confirmed by direct summation"
+        )
+
     def test_convex_witness_without_its_subgradients_goes_to_is_member(self, pair, monkeypatch):
         """A convex LP point whose subgradients leave a cone row below the
         tolerance is re-verified by ``is_member``, which decides."""

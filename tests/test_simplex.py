@@ -305,6 +305,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             solve_lp([1.0], a_ub=[[1.0, 2.0]], b_ub=[1.0])
 
+    def test_matrix_of_the_wrong_width(self):
+        """A 2x3 ``a_ub`` with two variables was once read as 3x2 and came
+        back ``infeasible``; a 1x3 ``a_eq`` raised numpy's reshape error."""
+        with pytest.raises(ValueError, match=r"^a_ub must have len\(c\) = 2 columns, got shape \(2, 3\)$"):
+            solve_lp([1.0, 1.0], a_ub=[[-1, 0, 0], [0, -1, 0]], b_ub=[-1, -2, 0])
+        with pytest.raises(ValueError, match=r"^a_eq must have len\(c\) = 2 columns, got shape \(1, 3\)$"):
+            solve_lp([1.0, 1.0], a_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0])
+
+    def test_one_dimensional_matrix_is_one_row(self):
+        res = solve_lp([-1.0, -1.0], a_ub=[1.0, 2.0], b_ub=[4.0])
+        assert (res.status, res.fun) == ("optimal", -4.0)
+        assert solve_lp([1.0, 2.0], a_eq=[1.0, 1.0], b_eq=[3.0]).x.tolist() == [3.0, 0.0]
+        with pytest.raises(ValueError, match=r"^a_ub must have len\(c\) = 2 columns, got shape \(1, 3\)$"):
+            solve_lp([1.0, 1.0], a_ub=[1.0, 0.0, 0.0], b_ub=[1.0])
+
     @pytest.mark.parametrize(
         "pair",
         [(2.0, 1.0), (np.inf, np.inf), (np.inf, None), (None, -np.inf), (-np.inf, -np.inf)],
